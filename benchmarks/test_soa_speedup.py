@@ -11,10 +11,15 @@ bit-identical, so everything measured here is pure execution cost.
 
 Timing uses best-of-N interleaved rounds per backend: noise and scheduler
 drift only ever add time, so the minima are each backend's cleanest
-measurement (same reasoning as the instrumentation-overhead gate).
+measurement (same reasoning as the instrumentation-overhead gate).  One
+replay of the trace takes the soa backend only ~20 ms, short enough that
+a single preempted slice or frequency step moves the ratio by a third;
+so each timed sample replays the trace as many times as it takes the soa
+side to run for at least ``MIN_SAMPLE_SECONDS``, on both twins alike.
 """
 
 import gc
+import math
 import time
 
 from conftest import artifact, report
@@ -24,7 +29,9 @@ from repro.engine import compile_trace
 from repro.sim.machine import Machine
 
 TRIALS = 200
-ROUNDS = 5
+ROUNDS = 7
+#: Shortest timed sample on the (faster) soa side.
+MIN_SAMPLE_SECONDS = 0.2
 SPEEDUP_GATE = 3.0
 
 
@@ -50,12 +57,13 @@ def _transmit_trace(machine) -> list:
     return ops
 
 
-def _elapsed(machine, trace, backend) -> float:
+def _elapsed(machine, trace, backend, replays) -> float:
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
-        machine.run_trace(trace, backend=backend)
+        for _ in range(replays):
+            machine.run_trace(trace, backend=backend)
         return time.perf_counter() - start
     finally:
         gc.enable()
@@ -67,25 +75,31 @@ def _measure() -> dict:
     trace = _transmit_trace(obj)
     _transmit_trace(soa)  # mirror the allocations; machines stay twins
     compiled = compile_trace(soa, trace)
-    # Warm-up: set allocation, memo fill, plane construction.
-    obj.run_trace(trace[:200], backend="object")
+    # Warm-up (set allocation, memo fill, plane construction), then one
+    # timed soa replay to size the samples.  The twins replay the same
+    # trace equally often throughout, so their states stay equal.
+    for _ in range(2):
+        obj.run_trace(trace, backend="object")
     soa.run_trace(compiled, backend="soa")
+    soa_once = _elapsed(soa, compiled, "soa", 1)
+    replays = max(1, math.ceil(MIN_SAMPLE_SECONDS / soa_once))
     obj_times = []
     soa_times = []
     for round_index in range(ROUNDS):
         if round_index % 2:
-            soa_times.append(_elapsed(soa, compiled, "soa"))
-            obj_times.append(_elapsed(obj, trace, "object"))
+            soa_times.append(_elapsed(soa, compiled, "soa", replays))
+            obj_times.append(_elapsed(obj, trace, "object", replays))
         else:
-            obj_times.append(_elapsed(obj, trace, "object"))
-            soa_times.append(_elapsed(soa, compiled, "soa"))
+            obj_times.append(_elapsed(obj, trace, "object", replays))
+            soa_times.append(_elapsed(soa, compiled, "soa", replays))
     obj_best = min(obj_times)
     soa_best = min(soa_times)
-    n = len(trace)
+    n = len(trace) * replays
     return {
         "workload": "ntp+ntp transmit",
         "trials": TRIALS,
-        "trace_length": n,
+        "trace_length": len(trace),
+        "replays_per_sample": replays,
         "rounds": ROUNDS,
         "object_ops_per_sec": n / obj_best,
         "soa_ops_per_sec": n / soa_best,
@@ -104,6 +118,7 @@ def test_soa_speedup(once):
         f"soa:    {result['soa_ops_per_sec']:,.0f} ops/s\n"
         f"speedup: {result['speedup']:.2f}x "
         f"(best-of-{result['rounds']} interleaved rounds, "
-        f"{result['trace_length']:,} ops/round)",
+        f"{result['replays_per_sample']} x {result['trace_length']:,} "
+        "ops/sample)",
     )
     assert result["speedup"] >= SPEEDUP_GATE

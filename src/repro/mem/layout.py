@@ -13,7 +13,7 @@ Cache Slice Selection", Maurice et al.) describe — so the search algorithms in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..config import CacheGeometry
 from ..errors import AddressError
@@ -121,6 +121,38 @@ class CacheSetMapping:
         if flat is None:
             flat = cache[line] = self.index(addr).flat
         return flat
+
+    def select_congruent(self, target: int, lines: Sequence[int]) -> List[int]:
+        """The members of ``lines`` in ``target``'s slice and set, in order.
+
+        ``lines`` must be valid addresses (allocator output); only
+        ``target`` is validated.  For this class's XOR-fold mapping each
+        line is tested with the set mask first and the slice parities only
+        on a set match, with no per-line call and no :meth:`flat_index`
+        memo entry: a congruence scan visits thousands of candidates per
+        target, and memoizing each one would grow the memo by every
+        candidate ever scanned.  A subclass that overrides :meth:`index`
+        is tested line by line through :meth:`flat_index`.
+        """
+        if type(self).index is not CacheSetMapping.index:
+            flat_index = self.flat_index
+            target_flat = flat_index(target)
+            return [line for line in lines if flat_index(line) == target_flat]
+        target_line = validate_address(target) >> LINE_OFFSET_BITS
+        set_mask = self._set_mask
+        target_set = target_line & set_mask
+        same_set = [
+            line for line in lines
+            if (line >> LINE_OFFSET_BITS) & set_mask == target_set
+        ]
+        if self.slice_hash is None:
+            return same_set
+        slice_of = self.slice_hash.slice_of
+        target_slice = slice_of(target_line)
+        return [
+            line for line in same_set
+            if slice_of(line >> LINE_OFFSET_BITS) == target_slice
+        ]
 
     def congruent(self, a: int, b: int) -> bool:
         """True when two addresses map to the same slice and set.

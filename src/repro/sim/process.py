@@ -19,32 +19,66 @@ equivalent of two pinned processes racing on real silicon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 
 class Op:
-    """Base class for yieldable operation requests."""
+    """Base class for yieldable operation requests.
+
+    Ops are value objects: equal when of the same type with equal fields,
+    hashable, and printed like ``Load(addr=4096)``.  They are plain
+    ``__slots__`` classes rather than frozen dataclasses because a capacity
+    sweep builds hundreds of thousands of them, and a frozen dataclass's
+    ``__init__`` (one ``object.__setattr__`` per field) costs several times
+    a plain attribute store.  Treat them as immutable all the same.
+    """
+
+    __slots__ = ()
+    #: Field names, in constructor order (``__slots__`` of a subclass that
+    #: adds no field is empty, so it cannot serve).
+    _FIELDS: tuple = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._FIELDS
+        )
+        return f"{type(self).__name__}({fields})"
+
+
+class _AddrOp(Op):
+    """An op on one physical address."""
+
+    __slots__ = ("addr",)
+    _FIELDS = ("addr",)
+
+    def __init__(self, addr: int):
+        self.addr = addr
+
+
+class Load(_AddrOp):
+    """Demand load; result sent back is a :class:`MemOpResult`."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Load(Op):
-    """Demand load; result sent back is a :class:`MemOpResult`."""
-
-    addr: int
-
-
-@dataclass(frozen=True)
-class TimedLoad(Op):
+class TimedLoad(_AddrOp):
     """RDTSCP-wrapped load; result sent back is a :class:`TimedResult`."""
 
-    addr: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrefetchNTA(Op):
+class PrefetchNTA(_AddrOp):
     """PREFETCHNTA; result is a :class:`MemOpResult`.
 
     Non-blocking, as on real hardware: the instruction retires at issue
@@ -54,38 +88,33 @@ class PrefetchNTA(Op):
     waits for completion.
     """
 
-    addr: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TimedPrefetchNTA(Op):
+class TimedPrefetchNTA(_AddrOp):
     """RDTSCP-wrapped PREFETCHNTA; result is a :class:`TimedResult`."""
 
-    addr: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrefetchT0(Op):
-    addr: int
+class PrefetchT0(_AddrOp):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Clflush(Op):
-    addr: int
+class Clflush(_AddrOp):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StreamClflush(Op):
+class StreamClflush(_AddrOp):
     """A CLFLUSH issued in an independent stream (overlapped with others).
 
     Same cache effect as :class:`Clflush`, charged ``clflush / stream_mlp``
     cycles like a streamed load.
     """
 
-    addr: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class WaitUntil(Op):
     """Spin on RDTSC until the given absolute cycle (no-op if in the past).
 
@@ -93,18 +122,24 @@ class WaitUntil(Op):
     tell whether they hit the deadline or arrived late.
     """
 
-    time: int
+    __slots__ = ("time",)
+    _FIELDS = ("time",)
+
+    def __init__(self, time: int):
+        self.time = time
 
 
-@dataclass(frozen=True)
 class Sleep(Op):
     """Burn the given number of cycles (models computation)."""
 
-    cycles: int
+    __slots__ = ("cycles",)
+    _FIELDS = ("cycles",)
+
+    def __init__(self, cycles: int):
+        self.cycles = cycles
 
 
-@dataclass(frozen=True)
-class StreamLoad(Op):
+class StreamLoad(_AddrOp):
     """A load issued in an independent (non-chased) access stream.
 
     Semantically identical to :class:`Load`, but charged only
@@ -113,16 +148,17 @@ class StreamLoad(Op):
     ~1900 cycles.
     """
 
-    addr: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ReadTSC(Op):
     """Read the time-stamp counter; result sent back is the current cycle.
 
     Costs half a measurement overhead (one serialized RDTSCP), so bracketing
     a sequence with two ReadTSCs models the paper's timed access sequences.
     """
+
+    __slots__ = ()
 
 
 Program = Generator[Op, Any, Any]

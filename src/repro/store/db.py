@@ -300,15 +300,15 @@ class CampaignStore:
         fingerprint = run_fingerprint(shards, results)
         now = time.time() if started_at is None else started_at
         with self._db:
-            row = self._db.execute(
+            # Get-or-create in one write transaction: the INSERT takes the
+            # write lock before the SELECT, so a concurrent writer creating
+            # the same campaign can neither slip in between nor collide.
+            self._db.execute(
+                "INSERT OR IGNORE INTO campaigns (name) VALUES (?)", (campaign,)
+            )
+            campaign_id = self._db.execute(
                 "SELECT id FROM campaigns WHERE name = ?", (campaign,)
-            ).fetchone()
-            if row is None:
-                campaign_id = self._db.execute(
-                    "INSERT INTO campaigns (name) VALUES (?)", (campaign,)
-                ).lastrowid
-            else:
-                campaign_id = row[0]
+            ).fetchone()[0]
             run_id = self._db.execute(
                 "INSERT INTO runs (campaign_id, started_at, wall_seconds,"
                 " executor, engine, engine_version, batch_size, jobs,"

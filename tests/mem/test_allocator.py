@@ -115,3 +115,35 @@ def test_sparse_pool_unaffected_by_fallback():
     a = make_allocator(seed=4)
     b = make_allocator(seed=4)
     assert a.alloc_frames(500) == b.alloc_frames(500)
+
+
+def _reference_alloc_frame(rng, frames, allocated):
+    """One frame by bounded rejection sampling, drawn one call at a time."""
+    from repro.mem.allocator import ALLOC_ATTEMPTS
+
+    if len(allocated) >= frames:
+        raise AddressError("physical memory exhausted")
+    for _ in range(ALLOC_ATTEMPTS):
+        frame = rng.randrange(frames)
+        if frame not in allocated:
+            allocated.add(frame)
+            return frame << 12
+    free = sorted(set(range(frames)) - allocated)
+    frame = free[rng.randrange(len(free))]
+    allocated.add(frame)
+    return frame << 12
+
+
+@pytest.mark.parametrize("frames,batches", [
+    (1 << 20, [1, 500, 37]),  # sparse: no collisions
+    (256, [100, 100, 50, 6]),  # collisions, then the free-set fallback
+])
+def test_batched_frames_match_one_at_a_time_draws(frames, batches):
+    alloc = make_allocator(frames=frames, seed=11)
+    rng, allocated = random.Random(11), set()
+    for count in batches:
+        expected = [_reference_alloc_frame(rng, frames, allocated)
+                    for _ in range(count)]
+        assert alloc.alloc_frames(count) == expected
+    assert alloc._rng.getstate() == rng.getstate()
+    assert alloc.capture() == tuple(sorted(allocated))

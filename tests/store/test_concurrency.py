@@ -13,6 +13,10 @@ from repro.runner import make_shards
 from repro.store import CampaignStore
 
 RUNS_PER_WRITER = 8
+#: Processes racing to create the same campaign (more than the cores of a
+#: small CI runner, so creations overlap), and campaigns they race on.
+HAMMER_WRITERS = 4
+HAMMER_ROUNDS = 6
 
 
 def _write_runs(store_path, writer, barrier, out):
@@ -36,6 +40,32 @@ def _write_runs(store_path, writer, barrier, out):
                 metrics={"writer": writer, "n": n},
             ))
         out.put((writer, ids))
+    finally:
+        store.close()
+
+
+def _create_and_record(store_path, writer, barrier, out):
+    """One hammer process: each round, record one run into a new campaign.
+
+    Every process meets at the barrier before each round, so all of them
+    try to create that round's campaign at once.
+    """
+    shards = make_shards(writer, [{"x": 0}])
+    results = [{"index": 0, "x": 0}]
+    store = CampaignStore(store_path)
+    try:
+        ids = []
+        for round_ in range(HAMMER_ROUNDS):
+            barrier.wait(timeout=60)
+            ids.append(store.record_run(
+                f"concurrency/hammer-{round_}", shards, results,
+                executor="test", engine=None, engine_version="test-0",
+                metrics={"writer": writer},
+            ))
+        out.put((writer, ids, None))
+    except Exception as error:  # reported to the parent, which fails the test
+        barrier.abort()  # release the others now rather than at the timeout
+        out.put((writer, [], f"{type(error).__name__}: {error}"))
     finally:
         store.close()
 
@@ -71,6 +101,46 @@ class TestConcurrentWriters:
                 runs = store.runs(f"concurrency/writer-{writer}")
                 assert [r.id for r in runs] == sorted(ids)
                 assert len(runs) == RUNS_PER_WRITER
+        finally:
+            store.close()
+
+    def test_racing_campaign_creation_keeps_every_run(self, tmp_path):
+        """Get-or-create of a campaign row is atomic across processes.
+
+        Each writer records one run per round into that round's new
+        campaign, all at once: every run must land and each campaign must
+        end up with exactly one row.
+        """
+        store_path = str(tmp_path / "hammer.sqlite")
+        CampaignStore(store_path).close()
+
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(HAMMER_WRITERS)
+        out = ctx.Queue()
+        writers = [
+            ctx.Process(target=_create_and_record,
+                        args=(store_path, w, barrier, out))
+            for w in range(HAMMER_WRITERS)
+        ]
+        for proc in writers:
+            proc.start()
+        outcomes = [out.get(timeout=120) for _ in writers]
+        for proc in writers:
+            proc.join(timeout=30)
+            assert not proc.is_alive()
+        assert [error for _, _, error in outcomes if error] == []
+
+        store = CampaignStore(store_path)
+        try:
+            for round_ in range(HAMMER_ROUNDS):
+                name = f"concurrency/hammer-{round_}"
+                rows = store._db.execute(
+                    "SELECT COUNT(*) FROM campaigns WHERE name = ?", (name,)
+                ).fetchone()[0]
+                assert rows == 1
+                runs = store.runs(name)
+                assert sorted(r.id for r in runs) == sorted(
+                    ids[round_] for _, ids, _ in outcomes)
         finally:
             store.close()
 

@@ -94,6 +94,8 @@ class NTPNTPChannel:
             for setup in self.setups
         ]
         self._sender_aux_index = [0] * n_sets
+        self._prepared_noise: Optional[tuple] = None
+        self._pending_noise: Optional[tuple] = None
         calibration = calibrate_prefetch_threshold(
             machine, machine.cores[receiver_core]
         )
@@ -107,10 +109,28 @@ class NTPNTPChannel:
         and the aux-line rotation restart from their post-construction
         state, so a warm transmit is bit-identical to a cold one.  The
         setups, aux lines, and threshold are pure functions of the machine
-        state the checkpoint restores, so they stay valid as built.
+        state the checkpoint restores, so they stay valid as built; so is a
+        noise working set allocated by :meth:`prepare_noise` before the
+        checkpoint, which is re-armed for the next transmit.
         """
         self._rng = random.Random(seed)
         self._sender_aux_index = [0] * self.n_sets
+        self._pending_noise = self._prepared_noise
+
+    def prepare_noise(self) -> None:
+        """Allocate now the noise working set the next noisy transmit uses.
+
+        A noisy transmit allocates its noise lines before anything else
+        touches the page allocator or the machine RNG, so allocating them
+        right after construction gives the same lines and the same machine
+        state.  Warm-started sweeps do this in the shared prefix, so the
+        prefix checkpoint holds the working set and no trial rebuilds it.
+        Call it only when the next transmit has noise: the allocation draws
+        from the machine RNG either way.
+        """
+        targets = [s.receiver_line for s in self.setups]
+        self._prepared_noise = make_noise_lines(self.machine, targets)
+        self._pending_noise = self._prepared_noise
 
     # -- slot schedule -------------------------------------------------------
 
@@ -275,9 +295,12 @@ class NTPNTPChannel:
             sync.overhead_cycles + machine.config.latency.dram + 600,
         )
         horizon = t0 + (total_slots + 4) * worst_slot
+        prepared, self._pending_noise = self._pending_noise, None
         if noise is not None and self.noise_core is not None:
-            targets = [s.receiver_line for s in self.setups]
-            congruent, background = make_noise_lines(machine, targets)
+            if prepared is None:
+                targets = [s.receiver_line for s in self.setups]
+                prepared = make_noise_lines(machine, targets)
+            congruent, background = prepared
             scheduler.spawn(
                 "noise",
                 self.noise_core,

@@ -59,12 +59,22 @@ class PrimeProbeChannel:
         self._rng = random.Random(seed)
         self.setups: List[ChannelSetup] = make_channel_setups(machine, n_sets)
         self.thresholds: List[int] = []
+        self._prepared_noise: Optional[tuple] = None
+        self._pending_noise: Optional[tuple] = None
 
     def reseed(self, seed: int) -> None:
         """Reset per-transmission state to that of a freshly built channel
         (see :meth:`NTPNTPChannel.reseed <repro.attacks.ntp_ntp.NTPNTPChannel.reseed>`)."""
         self._rng = random.Random(seed)
         self.thresholds = []
+        self._pending_noise = self._prepared_noise
+
+    def prepare_noise(self) -> None:
+        """Allocate now the noise working set the next noisy transmit uses
+        (see :meth:`NTPNTPChannel.prepare_noise <repro.attacks.ntp_ntp.NTPNTPChannel.prepare_noise>`)."""
+        targets = [s.receiver_line for s in self.setups]
+        self._prepared_noise = make_noise_lines(self.machine, targets)
+        self._pending_noise = self._prepared_noise
 
     # -- receiver building blocks -----------------------------------------
 
@@ -187,9 +197,12 @@ class PrimeProbeChannel:
         )
         n_slots = (len(bits) + self.n_sets - 1) // self.n_sets
         horizon = t0 + (n_slots + 4) * worst_slot
+        prepared, self._pending_noise = self._pending_noise, None
         if noise is not None and self.noise_core is not None:
-            targets = [s.receiver_line for s in self.setups]
-            congruent, background = make_noise_lines(machine, targets)
+            if prepared is None:
+                targets = [s.receiver_line for s in self.setups]
+                prepared = make_noise_lines(machine, targets)
+            congruent, background = prepared
             scheduler.spawn(
                 "noise",
                 self.noise_core,

@@ -82,7 +82,8 @@ def _message(n_bits: int, seed: int) -> List[int]:
 
 
 def _capacity_setup(prefix: dict) -> tuple:
-    """Shared trial prefix: machine build + channel construction/calibration."""
+    """Shared trial prefix: machine build, channel construction/calibration
+    and the noise working set."""
     machine = Machine(
         prefix["config"], seed=prefix["machine_seed"],
         backend=prefix.get("engine"),
@@ -91,6 +92,9 @@ def _capacity_setup(prefix: dict) -> tuple:
         chan = NTPNTPChannel(machine, seed=prefix["seed"])
     else:
         chan = PrimeProbeChannel(machine, seed=prefix["seed"])
+    # Every capacity trial transmits with noise (run_capacity_sweep fills in
+    # the default), so the noise working set belongs to the shared prefix.
+    chan.prepare_noise()
     return machine, chan
 
 

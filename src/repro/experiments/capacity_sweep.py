@@ -23,7 +23,6 @@ from ..runner import (
     is_error_record,
     make_shards,
     run_shards,
-    run_warm_shards,
 )
 from ..engine import resolve_backend
 from ..sim.machine import Machine
@@ -121,21 +120,6 @@ _CAPACITY_PLAN = WarmStartPlan(
 )
 
 
-def _capacity_point_worker(shard: Shard) -> dict:
-    """One Figure 8 point, rebuilt entirely from the shard (picklable).
-
-    The cold path is exactly setup + body on a fresh machine; the warm path
-    is setup once + checkpoint/restore + body per trial.  ``reseed`` on a
-    freshly built channel is an identity operation, which is what makes the
-    two paths structurally equivalent.
-    """
-    p = shard.params
-    machine, chan = _capacity_setup(
-        {key: p[key] for key in _CAPACITY_PREFIX_KEYS}
-    )
-    return _capacity_body(machine, chan, shard)
-
-
 def run_capacity_sweep(
     machine_factory,
     channel: str,
@@ -205,20 +189,12 @@ def run_capacity_sweep(
     ])
     if campaign is None:
         campaign = f"capacity_sweep/{channel}/{probe.config.name}"
-    if warm_start:
-        rows = run_warm_shards(
-            _CAPACITY_PLAN, shards, jobs=jobs,
-            cache=result_cache, cache_tag="capacity_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
-    else:
-        rows = run_shards(
-            _capacity_point_worker, shards, jobs=jobs,
-            cache=result_cache, cache_tag="capacity_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
+    rows = run_shards(
+        _CAPACITY_PLAN if warm_start else _CAPACITY_PLAN.cold(), shards,
+        jobs=jobs, cache=result_cache, cache_tag="capacity_sweep/v1",
+        metrics=metrics, trace=trace, faults=faults, retries=retries,
+        store=store, campaign=campaign, runtime=runtime,
+    )
     result = CapacitySweepResult(channel=channel, platform=probe.config.name)
     result.points.extend(
         CapacityPoint(**row) for row in rows if not is_error_record(row)

@@ -27,7 +27,6 @@ from ..runner import (
     is_error_record,
     make_shards,
     run_shards,
-    run_warm_shards,
 )
 from ..engine import resolve_backend
 from ..sim.machine import Machine
@@ -152,15 +151,6 @@ _COMPARISON_PLAN = WarmStartPlan(
 )
 
 
-def _comparison_worker(shard: Shard) -> dict:
-    """One channel's profile, rebuilt entirely from the shard."""
-    p = shard.params
-    machine, channel = _comparison_setup(
-        {key: p[key] for key in _COMPARISON_PREFIX_KEYS}
-    )
-    return _comparison_body(machine, channel, shard)
-
-
 def run_channel_comparison(
     machine_factory: Callable[[], Machine] = None,
     n_bits: int = 128,
@@ -208,20 +198,12 @@ def run_channel_comparison(
         }
         for name, kind, kwargs, interval, evsets, shared in CHANNEL_SPECS
     ])
-    if warm_start:
-        rows = run_warm_shards(
-            _COMPARISON_PLAN, shards, jobs=jobs,
-            cache=result_cache, cache_tag="channel_comparison/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
-    else:
-        rows = run_shards(
-            _comparison_worker, shards, jobs=jobs,
-            cache=result_cache, cache_tag="channel_comparison/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
+    rows = run_shards(
+        _COMPARISON_PLAN if warm_start else _COMPARISON_PLAN.cold(), shards,
+        jobs=jobs, cache=result_cache, cache_tag="channel_comparison/v1",
+        metrics=metrics, trace=trace, faults=faults, retries=retries,
+        store=store, campaign=campaign, runtime=runtime,
+    )
     result = ComparisonResult()
     result.profiles.extend(
         ChannelProfile(**row) for row in rows if not is_error_record(row)

@@ -32,7 +32,7 @@ from ..runner import ResultCache, Shard, is_error_record, make_shards, run_shard
 from ..engine import resolve_backend
 from ..sim.machine import Machine
 from ..victims.noise import NoiseConfig
-from .capacity_sweep import _capacity_point_worker
+from .capacity_sweep import _CAPACITY_PLAN
 
 #: Channel fault rates swept in act 2 (per-bit burst-flip trigger rate).
 DEFAULT_FAULT_RATES = (0.0, 0.002, 0.005, 0.01, 0.02)
@@ -170,11 +170,11 @@ def run_chaos_sweep(
         }
         for interval in CHAOS_INTERVALS
     ])
-    baseline = run_shards(_capacity_point_worker, shards, jobs=1)
+    baseline = run_shards(_CAPACITY_PLAN.cold(), shards, jobs=1)
     retries_before = registry.counter("runner.retries").value
     failures_before = registry.counter("runner.failures").value
     injected = run_shards(
-        _capacity_point_worker, shards, jobs=jobs,
+        _CAPACITY_PLAN.cold(), shards, jobs=jobs,
         metrics=registry, trace=trace,
         faults=crash_plan, retries=retries,
     )

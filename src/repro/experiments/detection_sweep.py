@@ -24,7 +24,6 @@ from ..runner import (
     is_error_record,
     make_shards,
     run_shards,
-    run_warm_shards,
 )
 from ..engine import resolve_backend
 from ..sim.machine import Machine
@@ -105,15 +104,6 @@ _DETECTION_PLAN = WarmStartPlan(
 )
 
 
-def _detection_point_worker(shard: Shard) -> dict:
-    """One (attack, period) point, rebuilt entirely from the shard."""
-    p = shard.params
-    machine, context = _detection_setup(
-        {key: p[key] for key in _DETECTION_PREFIX_KEYS}
-    )
-    return _detection_body(machine, context, shard)
-
-
 def run_detection_sweep(
     machine_factory: Callable[[], Machine],
     periods: Sequence[int] = None,
@@ -157,20 +147,12 @@ def run_detection_sweep(
         for name in _ATTACKS
         for period in periods
     ])
-    if warm_start:
-        rows = run_warm_shards(
-            _DETECTION_PLAN, shards, jobs=jobs,
-            cache=result_cache, cache_tag="detection_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
-    else:
-        rows = run_shards(
-            _detection_point_worker, shards, jobs=jobs,
-            cache=result_cache, cache_tag="detection_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
+    rows = run_shards(
+        _DETECTION_PLAN if warm_start else _DETECTION_PLAN.cold(), shards,
+        jobs=jobs, cache=result_cache, cache_tag="detection_sweep/v1",
+        metrics=metrics, trace=trace, faults=faults, retries=retries,
+        store=store, campaign=campaign, runtime=runtime,
+    )
     rows = [row for row in rows if not is_error_record(row)]
     result = DetectionSweepResult()
     for name in _ATTACKS:

@@ -19,7 +19,7 @@ the prefetched line is the set's eviction candidate regardless of ``a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import random
 from typing import Dict, List, Optional, Sequence
 
@@ -29,12 +29,10 @@ from ..faults import FaultPlan
 from ..runner import (
     ResultCache,
     Shard,
-    TraceBatchPlan,
     WarmStartPlan,
     is_error_record,
     make_shards,
-    run_batch_shards,
-    run_warm_shards,
+    run_shards,
 )
 from ..sim.machine import Machine
 
@@ -147,26 +145,13 @@ def _sweep_reduce(machine: Machine, context: dict, shard: Shard, results: list) 
     }
 
 
-def _sweep_body(machine: Machine, context: dict, shard: Shard) -> dict:
-    """Scalar fallback body: the same trace through ``run_trace``."""
-    trace = _sweep_trace(machine, context, shard)
-    results = machine.run_trace(
-        trace, record=True, backend=shard.params.get("engine")
-    )
-    return _sweep_reduce(machine, context, shard, results)
-
-
-_PREFIX_KEYS = ("config", "machine_seed", "engine")
-
-BATCH_PLAN = TraceBatchPlan(
+#: The engine is a prefix key: the setup builds the machine on it, and a
+#: ``batch`` machine lets the executor run the trials as one array program.
+SWEEP_PLAN = WarmStartPlan(
     setup=_sweep_setup,
     make_trace=_sweep_trace,
     reduce=_sweep_reduce,
-    prefix_keys=_PREFIX_KEYS,
-)
-
-SCALAR_PLAN = WarmStartPlan(
-    setup=_sweep_setup, body=_sweep_body, prefix_keys=_PREFIX_KEYS
+    prefix_keys=("config", "machine_seed", "engine"),
 )
 
 
@@ -189,13 +174,12 @@ def run_insertion_sweep(
 ) -> InsertionSweepResult:
     """Sweep insertion positions × trials, batching trials when possible.
 
-    ``engine="batch"`` routes the whole sweep through
-    :func:`~repro.runner.run_batch_shards` — per prefix group, one
-    checkpoint restore broadcast across up to ``batch_size`` trials; any
-    other engine runs the scalar warm-start path with the trace replayed
-    under that backend.  Both paths produce bit-identical shard results
-    (and therefore interchangeable sweeps), which
-    ``tests/runner/test_batchexec.py`` pins.
+    Every trial replays its trace on the shared warm-start prefix under
+    ``engine``.  With ``engine="batch"`` and ``jobs <= 1`` the executor
+    runs up to ``batch_size`` trials per array program, one checkpoint
+    restore broadcast across them; otherwise each trial replays alone.
+    Both produce bit-identical shard results (and therefore
+    interchangeable sweeps), which ``tests/runner/test_batchexec.py`` pins.
     """
     probe: Machine = machine_factory()
     engine = resolve_backend(engine) if engine is not None else probe.backend
@@ -216,17 +200,12 @@ def run_insertion_sweep(
         # The engine is deliberately absent: every backend produces
         # bit-identical rows, so their runs belong to one history.
         campaign = f"insertion_sweep/{probe.config.name}"
-    common = dict(
+    rows = run_shards(
+        replace(SWEEP_PLAN, batch_size=batch_size), shards,
         jobs=jobs, cache=result_cache, cache_tag="insertion_sweep/v1",
         metrics=metrics, trace=trace, faults=faults, retries=retries,
         store=store, campaign=campaign, runtime=runtime,
     )
-    if engine == "batch":
-        rows = run_batch_shards(
-            BATCH_PLAN, shards, batch_size=batch_size, **common
-        )
-    else:
-        rows = run_warm_shards(SCALAR_PLAN, shards, **common)
 
     result = InsertionSweepResult(platform=probe.config.name, engine=engine)
     evicted: Dict[int, List[bool]] = {}

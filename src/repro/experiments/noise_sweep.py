@@ -26,7 +26,6 @@ from ..runner import (
     is_error_record,
     make_shards,
     run_shards,
-    run_warm_shards,
 )
 from ..engine import resolve_backend
 from ..sim.machine import Machine
@@ -125,13 +124,6 @@ _NOISE_PLAN = WarmStartPlan(
 )
 
 
-def _noise_point_worker(shard: Shard) -> dict:
-    """One (variant, bias) point, rebuilt entirely from the shard."""
-    p = shard.params
-    machine, channel = _noise_setup({key: p[key] for key in _NOISE_PREFIX_KEYS})
-    return _noise_body(machine, channel, shard)
-
-
 def run_noise_sweep(
     machine_factory: Callable[[], Machine],
     biases: Optional[Sequence[float]] = None,
@@ -182,20 +174,12 @@ def run_noise_sweep(
         for name, kind, kwargs, interval in VARIANTS
         for bias in biases
     ])
-    if warm_start:
-        rows = run_warm_shards(
-            _NOISE_PLAN, shards, jobs=jobs,
-            cache=result_cache, cache_tag="noise_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
-    else:
-        rows = run_shards(
-            _noise_point_worker, shards, jobs=jobs,
-            cache=result_cache, cache_tag="noise_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
+    rows = run_shards(
+        _NOISE_PLAN if warm_start else _NOISE_PLAN.cold(), shards,
+        jobs=jobs, cache=result_cache, cache_tag="noise_sweep/v1",
+        metrics=metrics, trace=trace, faults=faults, retries=retries,
+        store=store, campaign=campaign, runtime=runtime,
+    )
     rows = [row for row in rows if not is_error_record(row)]
     result = NoiseSweepResult()
     for name, _, _, _ in VARIANTS:

@@ -28,7 +28,6 @@ from ..runner import (
     is_error_record,
     make_shards,
     run_shards,
-    run_warm_shards,
 )
 from ..engine import resolve_backend
 from ..sim.machine import Machine
@@ -110,15 +109,6 @@ _SENSITIVITY_PLAN = WarmStartPlan(
 )
 
 
-def _sensitivity_point_worker(shard: Shard) -> dict:
-    """One (scale, channel) peak measurement, rebuilt from the shard."""
-    p = shard.params
-    machine, context = _sensitivity_setup(
-        {key: p[key] for key in _SENSITIVITY_PREFIX_KEYS}
-    )
-    return _sensitivity_body(machine, context, shard)
-
-
 def run_sensitivity_experiment(
     config: PlatformConfig,
     scales: Sequence[float] = DEFAULT_SCALES,
@@ -156,20 +146,12 @@ def run_sensitivity_experiment(
         for scale in scales
         for channel in ("ntp", "pp")
     ])
-    if warm_start:
-        rows = run_warm_shards(
-            _SENSITIVITY_PLAN, shards, jobs=jobs,
-            cache=result_cache, cache_tag="sensitivity/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
-    else:
-        rows = run_shards(
-            _sensitivity_point_worker, shards, jobs=jobs,
-            cache=result_cache, cache_tag="sensitivity/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
+    rows = run_shards(
+        _SENSITIVITY_PLAN if warm_start else _SENSITIVITY_PLAN.cold(), shards,
+        jobs=jobs, cache=result_cache, cache_tag="sensitivity/v1",
+        metrics=metrics, trace=trace, faults=faults, retries=retries,
+        store=store, campaign=campaign, runtime=runtime,
+    )
     result = SensitivityResult()
     for ntp_row, pp_row in zip(rows[0::2], rows[1::2]):
         if is_error_record(ntp_row) or is_error_record(pp_row):

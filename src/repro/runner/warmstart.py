@@ -1,26 +1,39 @@
-"""Warm-start trial execution: pay each distinct setup prefix once.
+"""Warm-start trial plans: pay each distinct setup prefix once.
 
 Every sweep trial used to rebuild a :class:`~repro.sim.Machine` from
 ``(config, seed)`` and re-simulate the same warm-up/calibration prefix
 before the part that actually varies.  A :class:`WarmStartPlan` splits a
-trial into that shared **setup prefix** and a per-shard **body**; the
-executor runs each distinct prefix once, takes a
-:class:`~repro.sim.MachineCheckpoint`, and restores it before every body
-instead of rebuilding.
+trial into that shared **setup prefix** and a per-shard **body**; handed
+to :func:`~repro.runner.pool.run_shards`, it runs each distinct prefix
+once, takes a :class:`~repro.sim.MachineCheckpoint`, and restores it
+before every body instead of rebuilding.
+
+The body is either given directly or derived from a **trace plan**: a pure
+``make_trace`` builder and a ``reduce`` over the recorded results, run as
+``make_trace`` -> ``machine.run_trace(..., record=True)`` -> ``reduce``.
+A trace plan can also run a whole prefix group as one array program: when
+the executor runs inline (``jobs <= 1``) and the group's machine runs the
+``batch`` backend, one checkpoint restore is broadcast across up to
+``batch_size`` trials through :func:`repro.engine.run_trace_batch`, and
+each trial's result is extracted and reduced individually.  The
+differential suites pin a T-trial batch as bit-identical to T scalar
+trials, so batching never changes a row.
 
 The determinism contract is unchanged: because ``Machine.restore`` rewinds
 *all* mutable simulation state (clock, RNG, caches, policy metadata, PMU
 counters, allocator pool, fault streams), a warm trial is bit-identical to
-a cold trial at any ``jobs`` value — the restore runs before **every**
-body, including the first after a fresh setup and any fault-injected
-retry.  Checkpoint digests join the result-cache key, so warm and cold
-runs of the same computation never collide in the cache under a changed
-prefix.
+a cold trial (:meth:`WarmStartPlan.cold`) at any ``jobs`` value — the
+restore runs before **every** body, including the first after a fresh
+setup and any fault-injected retry.  Checkpoint digests and the engine
+backend join the result-cache key, and cold workers carry their own
+identity, so warm, cold and cross-engine runs never share cache entries.
 
 Worker processes keep a small per-process memo of built prefix states.  On
 fork-start platforms (Linux) children inherit the parent's memo, so a
 ``jobs > 1`` sweep pays each prefix once in the parent and zero times in
-the pool; spawn-start platforms rebuild lazily per process.
+the pool; spawn-start platforms rebuild lazily per process, and workers of
+a persistent :class:`~repro.runner.runtime.Runtime` adopt the parent's
+shipped checkpoints.
 """
 
 from __future__ import annotations
@@ -28,13 +41,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
-from ..faults import FaultPlan
-from ..obs import EventTrace, MetricsRegistry, get_registry
-from .cache import ResultCache
-from .pool import BACKOFF_CAP_SECONDS, run_shards
+from .pool import run_shards
 from .shard import Shard, canonical_json
 
 #: ``setup(prefix_params) -> (machine, context)``: build a machine and run
@@ -46,6 +56,18 @@ Setup = Callable[[Dict[str, Any]], Tuple[Any, Any]]
 #: trial, run on a freshly restored machine.  Must derive all per-trial
 #: state from the shard (reseed channels, regenerate messages).
 Body = Callable[[Any, Any, Shard], Dict[str, Any]]
+
+#: ``make_trace(machine, context, shard) -> ops``: build the shard's trace
+#: (a list of ``(op, core, addr)`` tuples).  MUST be read-only on the
+#: machine — in a batch it runs against the restored-checkpoint state that
+#: every trial shares, so any mutation would leak between trials.
+MakeTrace = Callable[[Any, Any, Shard], Sequence[Tuple[str, int, int]]]
+
+#: ``reduce(machine, context, shard, results) -> result dict``: turn the
+#: trial's recorded :class:`MemOpResult` list into the shard's result.  The
+#: machine holds the trial's end state, so reducers may also read stats,
+#: PMU counters, or the clock.
+Reduce = Callable[[Any, Any, Shard, list], Dict[str, Any]]
 
 #: Prefix-build histogram buckets (seconds).
 _PREFIX_SECONDS_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0)
@@ -70,12 +92,26 @@ class WarmStartPlan:
 
     ``prefix_keys`` names the shard params that feed ``setup``; shards
     agreeing on those params share one machine build + prefix execution.
-    Everything else about a trial must live in the body.
+    Everything else about a trial must live in the body: either ``body``
+    itself, or — for a trace plan — ``make_trace`` and ``reduce``, which
+    also let the executor batch up to ``batch_size`` trials of a prefix
+    group into one array program.
     """
 
     setup: Setup
-    body: Body
-    prefix_keys: Tuple[str, ...]
+    body: Optional[Body] = None
+    prefix_keys: Tuple[str, ...] = ()
+    make_trace: Optional[MakeTrace] = None
+    reduce: Optional[Reduce] = None
+    batch_size: int = 64
+
+    def __post_init__(self) -> None:
+        if (self.body is None) == (self.make_trace is None):
+            raise ReproError("a plan takes either body or make_trace + reduce")
+        if (self.make_trace is None) != (self.reduce is None):
+            raise ReproError("a trace plan needs both make_trace and reduce")
+        if self.batch_size < 1:
+            raise ReproError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def prefix_of(self, shard: Shard) -> Dict[str, Any]:
         """The shard's prefix params (the setup's input)."""
@@ -88,8 +124,49 @@ class WarmStartPlan:
             ) from None
 
     def identity(self) -> str:
-        """Stable name for cache keys and memo keys."""
-        return f"{self.body.__module__}.{self.body.__qualname__}"
+        """Stable name for cache keys and memo keys: the body (or trace builder)."""
+        fn = self.body if self.body is not None else self.make_trace
+        return f"{fn.__module__}.{fn.__qualname__}"
+
+    def run_body(self, machine, context, shard: Shard) -> Dict[str, Any]:
+        """One trial on a prepared machine: the body, or trace -> replay -> reduce."""
+        if self.body is not None:
+            return self.body(machine, context, shard)
+        ops = self.make_trace(machine, context, shard)
+        return self.reduce(
+            machine, context, shard, machine.run_trace(ops, record=True)
+        )
+
+    def cold(self) -> "_ColdWorker":
+        """A worker that runs setup + body per trial, with no checkpoints."""
+        return _ColdWorker(self)
+
+    def prepare(self, shards: Sequence[Shard], jobs: int, registry, trace,
+                runtime) -> "_WarmWorker":
+        """Capture this sweep's prefixes; the worker that restores them.
+
+        Called by :func:`~repro.runner.pool.run_shards` before the cache
+        lookup (the checkpoint digests are part of the keys).  Under a
+        persistent runtime at ``jobs > 1`` the parent-built checkpoint
+        table is shipped through one shared-memory segment, so pool
+        workers forked before these prefixes existed adopt the parent's
+        checkpoints (digest-checked) instead of capturing their own.
+        """
+        from .runtime import resolve_runtime
+
+        states, digests = _capture_prefixes(self, shards, registry, trace)
+        checkpoints = None
+        rt = resolve_runtime(runtime)
+        if rt is not None and jobs > 1 and states:
+            checkpoints = rt.put_payload(
+                {key: state[2] for key, state in states.items()}, registry=registry
+            )
+        batching = self.make_trace is not None and any(
+            getattr(state[0], "backend", None) == "batch" for state in states.values()
+        )
+        return _WarmWorker(
+            self, digests, checkpoints=checkpoints, batching=batching
+        )
 
 
 def _memo_key(identity: str, prefix_json: str, digest: str) -> tuple:
@@ -112,27 +189,93 @@ def _memo_put(key: tuple, state: tuple) -> None:
     _WARM_STATES[key] = state
 
 
-def _warm_state(plan: WarmStartPlan, prefix: Dict[str, Any], memo_key: tuple) -> tuple:
-    """This process's (machine, context, checkpoint) for ``prefix``."""
-    state = _WARM_STATES.get(memo_key)
-    if state is None:
+def _capture_prefixes(
+    plan: WarmStartPlan, shards: Sequence[Shard], registry, trace
+) -> Tuple[Dict[str, tuple], Dict[str, str]]:
+    """Build each distinct prefix of ``shards`` once and checkpoint it.
+
+    Returns ``{prefix_json: (machine, context, checkpoint)}`` and
+    ``{prefix_json: digest}``, in shard order, and seeds this process's
+    memo with every state: inline runs reuse them directly, forked pool
+    children inherit them for free.  Every capture is counted under
+    ``runner.checkpoint.*`` and traced.
+
+    The prefixes are built even when every shard turns out to be a cache
+    hit — the digests are needed to *form* the keys.  A warm cache-hit
+    sweep therefore costs one prefix execution per distinct prefix.
+    """
+    groups: Dict[str, Dict[str, Any]] = {}
+    sizes: Dict[str, int] = {}
+    for shard in shards:
+        prefix = plan.prefix_of(shard)
+        prefix_json = canonical_json(prefix)
+        groups.setdefault(prefix_json, prefix)
+        sizes[prefix_json] = sizes.get(prefix_json, 0) + 1
+
+    states: Dict[str, tuple] = {}
+    digests: Dict[str, str] = {}
+    capture_seconds = registry.histogram(
+        "runner.checkpoint.capture.seconds", _PREFIX_SECONDS_BUCKETS
+    )
+    saved_seconds = 0.0
+    for prefix_json, prefix in groups.items():
+        start = time.perf_counter()
         machine, context = plan.setup(prefix)
-        state = (machine, context, machine.checkpoint())
-        _memo_put(memo_key, state)
-    return state
+        checkpoint = machine.checkpoint()
+        elapsed = time.perf_counter() - start
+        digest = digests[prefix_json] = checkpoint.digest()
+        state = states[prefix_json] = (machine, context, checkpoint)
+        _memo_put(_memo_key(plan.identity(), prefix_json, digest), state)
+        registry.counter("runner.checkpoint.captures").inc()
+        registry.counter("runner.checkpoint.bytes").inc(checkpoint.approx_bytes)
+        capture_seconds.observe(elapsed)
+        # Each trial beyond the group's first would have re-run this prefix
+        # cold; count the avoided builds as the (estimated) time saved.
+        saved_seconds += elapsed * (sizes[prefix_json] - 1)
+        trace.emit(
+            "runner.checkpoint.capture",
+            prefix=prefix_json,
+            digest=digest,
+            seconds=elapsed,
+            trials=sizes[prefix_json],
+        )
+    registry.gauge("runner.checkpoint.saved_seconds").set(saved_seconds)
+    return states, digests
+
+
+class _ColdWorker:
+    """Picklable worker running a plan's setup + body from scratch per trial.
+
+    ``reseed`` on a freshly built channel is an identity operation, which
+    is what makes a cold trial structurally equivalent to a warm one.  Its
+    cache identity is the plan's with a ``/cold`` suffix, so cold entries
+    never answer (or shadow) warm ones.
+    """
+
+    def __init__(self, plan: WarmStartPlan):
+        self.plan = plan
+        self.cache_identity = f"{plan.identity()}/cold"
+
+    def __call__(self, shard: Shard) -> Dict[str, Any]:
+        machine, context = self.plan.setup(self.plan.prefix_of(shard))
+        return self.plan.run_body(machine, context, shard)
 
 
 class _WarmWorker:
     """Picklable shard worker that restores the prefix checkpoint per trial.
 
-    ``checkpoints`` optionally carries a shared-memory
+    ``digests`` maps each prefix to its checkpoint digest (cache-key and
+    memo-key material, and the run's recorded digests).  ``checkpoints``
+    optionally carries a shared-memory
     :class:`~repro.runner.runtime.PayloadRef` to the parent-built
-    ``{prefix_json: checkpoint}`` table.  Persistent-pool workers forked
-    before this sweep's prefixes existed cannot inherit the parent memo;
-    on a memo miss they still run ``plan.setup`` (machine and context are
-    live objects only a build can produce) but adopt the *shipped* parent
-    checkpoint — digest-checked — instead of capturing their own, so the
-    state they restore per trial is byte-for-byte the parent's.
+    ``{prefix_json: checkpoint}`` table: on a memo miss a worker still runs
+    ``plan.setup`` (machine and context are live objects only a build can
+    produce) but adopts the *shipped* checkpoint — digest-checked — so the
+    state it restores per trial is byte-for-byte the parent's.
+
+    With ``batching`` (a trace plan whose prefix machines run the
+    ``batch`` backend) the worker also offers :meth:`batches` and
+    :meth:`run_batch`, which the executor uses when it runs inline.
     """
 
     def __init__(
@@ -140,10 +283,14 @@ class _WarmWorker:
         plan: WarmStartPlan,
         digests: Dict[str, str],
         checkpoints=None,
+        batching: bool = False,
     ):
         self.plan = plan
         self.digests = digests
         self.checkpoints = checkpoints
+        #: Run metadata the executor records in the campaign store.
+        self.executor = "batch" if batching else "warmstart"
+        self.batch_size = plan.batch_size if batching else 1
         #: Cache identity: the body function, like a cold worker's name.
         self.cache_identity = plan.identity()
 
@@ -175,7 +322,8 @@ class _WarmWorker:
             return None  # stale/foreign table: fall back to a local capture
         return checkpoint
 
-    def __call__(self, shard: Shard) -> Dict[str, Any]:
+    def _state(self, shard: Shard) -> tuple:
+        """This process's (machine, context, checkpoint) for the shard's prefix."""
         plan = self.plan
         prefix = plan.prefix_of(shard)
         prefix_json = canonical_json(prefix)
@@ -186,127 +334,80 @@ class _WarmWorker:
             shipped = self._shipped_checkpoint(prefix_json)
             state = (machine, context, shipped or machine.checkpoint())
             _memo_put(memo_key, state)
-        machine, context, checkpoint = state
+        return state
+
+    def __call__(self, shard: Shard) -> Dict[str, Any]:
+        machine, context, checkpoint = self._state(shard)
         # Restore before *every* body — first use and retries included — so
         # execution never depends on what previously ran on this machine.
         machine.restore(checkpoint)
-        return plan.body(machine, context, shard)
+        return self.plan.run_body(machine, context, shard)
+
+    def batches(self, shards: Sequence[Shard]) -> List[Tuple[str, List[Shard]]]:
+        """``(prefix_json, chunk)`` trial batches for ``shards``, in shard order.
+
+        Shards group by prefix; each group whose machine runs the ``batch``
+        backend splits into chunks of at most ``batch_size`` trials.
+        """
+        groups: Dict[str, List[Shard]] = {}
+        for shard in shards:
+            key = canonical_json(self.plan.prefix_of(shard))
+            groups.setdefault(key, []).append(shard)
+        size = self.batch_size
+        return [
+            (key, members[start : start + size])
+            for key, members in groups.items()
+            if getattr(self._state(members[0])[0], "backend", None) == "batch"
+            for start in range(0, len(members), size)
+        ]
+
+    def run_batch(
+        self, shards: Sequence[Shard]
+    ) -> Tuple[List[Union[Dict[str, Any], Exception]], int, int]:
+        """Run one prefix group's ``shards`` as a single array program.
+
+        Returns ``(outcomes, trials, restores)``: per shard, its result or
+        the exception its trace builder or reducer raised; how many trials
+        the array program ran; and how many checkpoint restores it took
+        (one broadcast to the batch plus one per applied trial).
+        """
+        from ..engine import run_trace_batch
+
+        plan = self.plan
+        machine, context, checkpoint = self._state(shards[0])
+        machine.restore(checkpoint)
+        restores = 1
+        outcomes: List[Any] = [None] * len(shards)
+        traces, traced = [], []
+        for slot, shard in enumerate(shards):
+            try:
+                traces.append(plan.make_trace(machine, context, shard))
+            except Exception as error:
+                outcomes[slot] = error
+            else:
+                traced.append(slot)
+        if not traced:
+            return outcomes, 0, restores
+        batch = run_trace_batch(machine, traces, record=True)
+        for t, slot in enumerate(traced):
+            machine.restore(checkpoint)
+            restores += 1
+            batch.apply(t)
+            try:
+                outcomes[slot] = plan.reduce(
+                    machine, context, shards[slot], batch.results(t)
+                )
+            except Exception as error:
+                outcomes[slot] = error
+        return outcomes, len(traced), restores
 
 
-def run_warm_shards(
-    plan: WarmStartPlan,
-    shards: Sequence[Shard],
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    cache_tag: Optional[str] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    trace: Optional[EventTrace] = None,
-    faults: Optional[FaultPlan] = None,
-    retries: int = 0,
-    backoff_base: float = 0.0,
-    backoff_cap: float = BACKOFF_CAP_SECONDS,
-    on_error: Optional[str] = None,
-    store=None,
-    campaign: Optional[str] = None,
-    runtime=None,
-) -> List[Dict[str, Any]]:
+def run_warm_shards(plan: WarmStartPlan, shards: Sequence[Shard],
+                    **kwargs) -> List[Dict[str, Any]]:
     """Run ``shards`` through ``plan`` with per-prefix warm starts.
 
-    Groups shards by their prefix params, builds each group's machine and
-    checkpoint once in the parent (seeding the worker memo — forked pool
-    children inherit it), then delegates to
-    :func:`~repro.runner.pool.run_shards` with a worker that restores the
-    checkpoint before every trial body.  All runner features compose
-    unchanged: result caching (the checkpoint digest is part of the key),
-    fault injection, retries, metrics, tracing, and campaign-store
-    recording (the run lands once, as executor ``"warmstart"``, with its
-    prefix checkpoint digests).
-
-    Note the parent builds every distinct prefix even when all shards are
-    cache hits — the digest is needed to *form* the keys.  A warm cache-hit
-    sweep therefore costs one prefix execution per distinct prefix; the
-    per-trial simulation is what the cache elides.
+    Equivalent to ``run_shards(plan, shards, **kwargs)`` (see
+    :func:`~repro.runner.pool.run_shards` for the keywords); kept as the
+    named entry point for warm-start sweeps.
     """
-    registry = metrics if metrics is not None else get_registry()
-    shards = list(shards)
-
-    # Group shards by canonical prefix (insertion order = shard order).
-    groups: Dict[str, Dict[str, Any]] = {}
-    group_sizes: Dict[str, int] = {}
-    for shard in shards:
-        prefix = plan.prefix_of(shard)
-        prefix_json = canonical_json(prefix)
-        groups.setdefault(prefix_json, prefix)
-        group_sizes[prefix_json] = group_sizes.get(prefix_json, 0) + 1
-
-    # Build each prefix once, checkpoint it, and record its digest.  The
-    # states land in this process's memo: inline runs (jobs <= 1) reuse
-    # them directly, forked pool children inherit them for free.
-    digests: Dict[str, str] = {}
-    built: Dict[str, Any] = {}
-    capture_seconds = registry.histogram(
-        "runner.checkpoint.capture.seconds", _PREFIX_SECONDS_BUCKETS
-    )
-    saved_seconds = 0.0
-    for prefix_json, prefix in groups.items():
-        start = time.perf_counter()
-        machine, context = plan.setup(prefix)
-        checkpoint = built[prefix_json] = machine.checkpoint()
-        elapsed = time.perf_counter() - start
-        digest = digests[prefix_json] = checkpoint.digest()
-        _memo_put(_memo_key(plan.identity(), prefix_json, digest),
-                  (machine, context, checkpoint))
-        registry.counter("runner.checkpoint.captures").inc()
-        registry.counter("runner.checkpoint.bytes").inc(checkpoint.approx_bytes)
-        capture_seconds.observe(elapsed)
-        # Each trial beyond the group's first would have re-run this prefix
-        # cold; count the avoided builds as the (estimated) time saved.
-        saved_seconds += elapsed * (group_sizes[prefix_json] - 1)
-        if trace is not None:
-            trace.emit(
-                "runner.checkpoint.capture",
-                prefix=prefix_json,
-                digest=digest,
-                seconds=elapsed,
-                trials=group_sizes[prefix_json],
-            )
-
-    # Under a persistent runtime, ship the parent-built checkpoint table
-    # through one shared-memory segment: pool workers forked before these
-    # prefixes existed adopt the parent's checkpoints (digest-checked)
-    # instead of each capturing their own, and the table travels once per
-    # content rather than pickling per task.
-    from .runtime import resolve_runtime
-
-    checkpoints_ref = None
-    rt = resolve_runtime(runtime)
-    if rt is not None and jobs > 1 and built:
-        checkpoints_ref = rt.put_payload(built, registry=registry)
-
-    worker = _WarmWorker(plan, digests, checkpoints=checkpoints_ref)
-    computed_before = registry.counter("runner.shards.computed").value
-    results = run_shards(
-        worker,
-        shards,
-        jobs=jobs,
-        runtime=runtime,
-        cache=cache,
-        cache_tag=cache_tag,
-        metrics=registry,
-        trace=trace,
-        faults=faults,
-        retries=retries,
-        backoff_base=backoff_base,
-        backoff_cap=backoff_cap,
-        on_error=on_error,
-        store=store,
-        campaign=campaign,
-        _ingest={"executor": "warmstart", "digests": dict(digests)},
-    )
-    # Every computed (non-cached) trial restored the checkpoint exactly once
-    # per successful attempt; retried attempts restore again, but those are
-    # already visible via runner.retries, so count one restore per compute.
-    computed = registry.counter("runner.shards.computed").value - computed_before
-    registry.counter("runner.checkpoint.restores").inc(computed)
-    registry.gauge("runner.checkpoint.saved_seconds").set(saved_seconds)
-    return results
+    return run_shards(plan, shards, **kwargs)

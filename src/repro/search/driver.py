@@ -12,9 +12,9 @@ strategies deterministic for free:
   which round, batch position, or strategy evaluates it.  The search
   ``round`` number rides along in the shard params — the stored rows are
   self-describing — but never feeds seeds or cache keys' content.
-* Each round runs through ``run_shards``/``run_warm_shards``, inheriting
-  the stable merge order, the content-addressed result cache, the
-  fault/retry layer, and campaign-store recording unchanged.
+* Each round runs through ``run_shards`` (a plain worker or a warm-start
+  plan), inheriting the stable merge order, the content-addressed result
+  cache, the fault/retry layer, and campaign-store recording unchanged.
 * The search fingerprint hashes the per-round
   :func:`~repro.store.run_fingerprint` values in round order, so two
   searches match iff every round evaluated the same candidates and saw

@@ -5,8 +5,8 @@ to completion and returns its JSON result summary, streaming trace events
 to a sink callback along the way.  Two implementations ship:
 
 * :class:`LocalBackend` — in-process, wrapping the existing runner stack
-  (:class:`~repro.runner.Runtime` + ``run_shards``/``run_warm_shards``/
-  ``run_batch_shards``) via :func:`~repro.service.exec.execute_job`.
+  (:class:`~repro.runner.Runtime` + the one sweep executor,
+  ``run_shards``) via :func:`~repro.service.exec.execute_job`.
 * :class:`SubprocessBackend` — a persistent worker process driven over the
   length-prefixed JSON pipe protocol (:mod:`repro.service.protocol`).  The
   pipe is the whole coupling, which makes this the template for remote

@@ -7,7 +7,7 @@
 * :class:`CampaignStore` — the sqlite database (campaigns, runs, shard
   results, checkpoint digests, benchmark artifacts, memoized analysis).
 * :func:`record_sweep` / :func:`record_artifact` — the fail-soft ingest
-  hooks called by :mod:`repro.runner`'s executors and
+  hooks called by :mod:`repro.runner`'s sweep executor and
   ``benchmarks/conftest.artifact``.
 * ``REPRO_STORE`` / :func:`set_default_store` / :func:`use_default_store`
   — how a process opts into recording (see :mod:`repro.store.ingest`).

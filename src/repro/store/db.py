@@ -288,7 +288,7 @@ class CampaignStore:
         ``shards`` and ``results`` are the executor's inputs and merged
         outputs, aligned by slot; an error record in a slot lands in
         ``error_json`` with ``result_json`` null.  ``digests`` maps
-        canonical prefix JSON to checkpoint digest (warm-start executors).
+        canonical prefix JSON to checkpoint digest (warm-start plans).
         ``cache_keys`` aligns per-slot result-cache keys, where known.
         """
         from ..runner.pool import SHARD_ERROR_KEY, is_error_record

@@ -1,7 +1,7 @@
 """Ingest wiring: how sweep runs and benchmark artifacts reach the store.
 
-The executors in :mod:`repro.runner` call :func:`record_sweep` after every
-merge; ``benchmarks/conftest.artifact`` calls :func:`record_artifact` per
+The sweep executor (:func:`repro.runner.run_shards`) calls
+:func:`record_sweep` once after every merge; ``benchmarks/conftest.artifact`` calls :func:`record_artifact` per
 benchmark.  Both are **fail-soft**: a broken or read-only store costs the
 history entry, never the sweep — mirroring the
 :class:`~repro.runner.cache.ResultCache` contract that results must not
@@ -17,9 +17,7 @@ Store resolution mirrors the result cache's env convention:
 * with neither, nothing is recorded.
 
 Pass :data:`DISABLED` to suppress recording for one call even when a
-default store is installed — the executors use it internally so a sweep
-that delegates (warm start -> pool, batch -> pool) is recorded exactly
-once, by the outermost executor.
+default store is installed (the CLI's ``--no-store``).
 """
 
 from __future__ import annotations

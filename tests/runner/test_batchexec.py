@@ -6,8 +6,8 @@ path — same rows in the same order at any ``jobs`` value and any
 deterministic fault injection and bounded retry keyed exactly like the
 pool's, and error records in the right merge slots.  The insertion sweep
 (:mod:`repro.experiments.insertion_sweep`) doubles as the end-to-end
-fixture since it ships both a :class:`TraceBatchPlan` and the equivalent
-scalar :class:`WarmStartPlan`.
+fixture since its one trace :class:`WarmStartPlan` runs batched on the
+``batch`` engine and scalar on the others.
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from repro.config import SKYLAKE
 from repro.errors import ReproError
 from repro.experiments.insertion_sweep import (
-    BATCH_PLAN,
+    SWEEP_PLAN,
     run_insertion_sweep,
 )
 from repro.faults import FaultPlan
@@ -23,7 +23,7 @@ from repro.obs import EventTrace, MetricsRegistry
 from repro.runner import (
     ResultCache,
     Shard,
-    TraceBatchPlan,
+    WarmStartPlan,
     clear_warm_states,
     make_shards,
     run_batch_shards,
@@ -146,7 +146,7 @@ def test_faulted_runs_match_the_scalar_path():
 def test_exhausted_shards_become_error_records():
     plan = FaultPlan(seed=1, crash_probability=1.0)
     rows = run_batch_shards(
-        BATCH_PLAN, _shards("batch"), faults=plan, retries=1
+        SWEEP_PLAN, _shards("batch"), faults=plan, retries=1
     )
     assert len(rows) == 12
     for row, shard in zip(rows, _shards("batch")):
@@ -159,7 +159,7 @@ def test_on_error_raise_propagates():
     plan = FaultPlan(seed=1, crash_probability=1.0)
     with pytest.raises(ReproError, match="failed after"):
         run_batch_shards(
-            BATCH_PLAN, _shards("batch"), faults=plan, retries=1,
+            SWEEP_PLAN, _shards("batch"), faults=plan, retries=1,
             on_error="raise",
         )
 
@@ -169,7 +169,7 @@ def test_retry_metrics_and_trace_events():
     registry = MetricsRegistry()
     trace = EventTrace()
     run_batch_shards(
-        BATCH_PLAN, _shards("batch"), faults=plan, retries=4,
+        SWEEP_PLAN, _shards("batch"), faults=plan, retries=4,
         metrics=registry, trace=trace,
     )
     assert registry.counter("runner.retries").value > 0
@@ -188,13 +188,13 @@ def test_duplicate_shard_index_rejected():
     shards = _shards("batch")
     shards[3] = Shard(index=shards[2].index, seed=0, params=shards[3].params)
     with pytest.raises(ReproError, match="duplicate shard index"):
-        run_batch_shards(BATCH_PLAN, shards)
+        run_batch_shards(SWEEP_PLAN, shards)
 
 
 def test_missing_prefix_param_is_a_clear_error():
     shard = Shard(index=0, seed=0, params={"position": 0, "trial": 0})
     with pytest.raises(ReproError, match="missing prefix param"):
-        BATCH_PLAN.prefix_of(shard)
+        SWEEP_PLAN.prefix_of(shard)
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -206,11 +206,11 @@ def test_missing_prefix_param_is_a_clear_error():
 ])
 def test_argument_validation(kwargs, match):
     with pytest.raises(ReproError, match=match):
-        run_batch_shards(BATCH_PLAN, _shards("batch"), **kwargs)
+        run_batch_shards(SWEEP_PLAN, _shards("batch"), **kwargs)
 
 
 def test_plan_identity_names_the_trace_builder():
-    assert TraceBatchPlan is type(BATCH_PLAN)
-    assert BATCH_PLAN.identity() == (
+    assert WarmStartPlan is type(SWEEP_PLAN)
+    assert SWEEP_PLAN.identity() == (
         "repro.experiments.insertion_sweep._sweep_trace"
     )

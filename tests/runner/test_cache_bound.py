@@ -6,8 +6,17 @@ import time
 
 import pytest
 
+from repro.config import SKYLAKE
+from repro.experiments.insertion_sweep import run_insertion_sweep
 from repro.obs import MetricsRegistry
-from repro.runner import ResultCache, Shard, make_shards, run_shards
+from repro.runner import (
+    ResultCache,
+    Shard,
+    clear_warm_states,
+    make_shards,
+    run_shards,
+)
+from repro.sim.machine import Machine
 
 
 def _put(cache, key, payload, mtime=None):
@@ -72,12 +81,29 @@ def _worker(shard: Shard) -> dict:
     return {"index": shard.index, "blob": "z" * 200}
 
 
+def _cold(cache, registry):
+    shards = make_shards(0, [{"x": i} for i in range(8)])
+    run_shards(_worker, shards, cache=cache, metrics=registry)
+
+
+def _insertion(engine):
+    def sweep(cache, registry):
+        clear_warm_states()
+        run_insertion_sweep(
+            lambda: Machine(SKYLAKE, seed=11), positions=range(3), trials=4,
+            seed=9, engine=engine, result_cache=cache, metrics=registry,
+        )
+    return sweep
+
+
 class TestMetricsSurface:
-    def test_runner_cache_evicted_counter(self, tmp_path):
+    @pytest.mark.parametrize("sweep", [
+        _cold, _insertion("object"), _insertion("batch"),
+    ], ids=["cold", "warm", "batch"])
+    def test_runner_cache_evicted_counter(self, tmp_path, sweep):
         registry = MetricsRegistry()
         cache = ResultCache(str(tmp_path), max_bytes=600)
-        shards = make_shards(0, [{"x": i} for i in range(8)])
-        run_shards(_worker, shards, cache=cache, metrics=registry)
+        sweep(cache, registry)
         counters = registry.as_dict("runner.")["counters"]
         assert counters["runner.cache.evicted"] == cache.evicted
         assert cache.evicted > 0

@@ -317,20 +317,34 @@ def _stub_body(machine, context, shard):
 STUB_PLAN = WarmStartPlan(setup=_stub_setup, body=_stub_body, prefix_keys=("base",))
 
 
-class TestWarmStartUnderRuntime:
-    def _shards(self):
-        return make_shards(0, [
-            {"base": base, "x": x} for base in (10, 20) for x in (1, 2, 3)
-        ])
+def _stub_sweep(**kwargs):
+    shards = make_shards(0, [
+        {"base": base, "x": x} for base in (10, 20) for x in (1, 2, 3)
+    ])
+    return run_warm_shards(STUB_PLAN, shards, **kwargs)
 
-    def test_results_and_checkpoint_shipping(self):
-        baseline = run_warm_shards(STUB_PLAN, self._shards(), jobs=1)
+
+def _insertion_batch_sweep(**kwargs):
+    """A trace plan on the batch engine: batched inline, per trial at jobs > 1."""
+    from repro.config import SKYLAKE
+    from repro.experiments.insertion_sweep import run_insertion_sweep
+    from repro.sim.machine import Machine
+
+    return run_insertion_sweep(
+        lambda: Machine(SKYLAKE, seed=11), positions=range(3), trials=4,
+        seed=9, engine="batch", **kwargs,
+    ).latencies
+
+
+class TestWarmStartUnderRuntime:
+    @pytest.mark.parametrize("sweep", [_stub_sweep, _insertion_batch_sweep],
+                             ids=["warm", "trace-batch"])
+    def test_results_and_checkpoint_shipping(self, sweep):
+        baseline = sweep(jobs=1)
         clear_warm_states()
         registry = MetricsRegistry()
         with Runtime() as rt:
-            rows = run_warm_shards(
-                STUB_PLAN, self._shards(), jobs=2, runtime=rt, metrics=registry
-            )
+            rows = sweep(jobs=2, runtime=rt, metrics=registry)
         assert rows == baseline
         # The parent-built checkpoint table went out via shared memory.
         assert registry.counter("runner.runtime.shm.segments").value >= 1

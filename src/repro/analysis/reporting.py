@@ -75,6 +75,7 @@ def runner_summary(registry) -> str:
     corrupt = registry.counter("runner.cache.corrupt").value
     retries = registry.counter("runner.retries").value
     failures = registry.counter("runner.failures").value
+    store_errors = registry.counter("runner.store.errors").value
     jobs = int(registry.gauge("runner.pool.jobs").value) or 1
     utilization = registry.gauge("runner.pool.utilization").value
     seconds = registry.histogram("runner.shard.seconds")
@@ -84,6 +85,8 @@ def runner_summary(registry) -> str:
     ]
     if retries or failures:
         parts.append(f"{retries} retried attempt(s), {failures} failed shard(s)")
+    if store_errors:
+        parts.append(f"{store_errors} run(s) not recorded (store errors)")
     if computed:
         parts.append(f"mean {seconds.mean:.2f}s/shard")
         parts.append(f"pool {utilization:.0%} busy over {jobs} job(s)")

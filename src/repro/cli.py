@@ -19,102 +19,55 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Optional, Sequence
 
 from .analysis.reporting import format_table
 from .attacks.ntp_ntp import NTPNTPChannel
 from .attacks.prime_scope import PrimePrefetchScope, PrimeScope
 from .channel.encoding import RepetitionEncoder
 from .channel.framing import FrameCodec
-from .config import KABY_LAKE, SKYLAKE, PlatformConfig
+from .registry import COMMANDS, PLATFORMS, Experiment, RunContext, machine_factory
 from .sim.machine import Machine
 from .victims.noise import NoiseConfig
 
-_PLATFORMS: Dict[str, PlatformConfig] = {
-    "skylake": SKYLAKE,
-    "kaby-lake": KABY_LAKE,
-}
+
+def _machine_factory(args: argparse.Namespace) -> Callable[[], Machine]:
+    return machine_factory(PLATFORMS[args.platform], args.seed, args.engine)
 
 
 def _machine(args: argparse.Namespace) -> Machine:
-    return Machine(_PLATFORMS[args.platform], seed=args.seed,
-                   backend=getattr(args, "engine", None))
+    return _machine_factory(args)()
 
 
-def _machine_factory(args: argparse.Namespace) -> Callable[[], Machine]:
-    platform = _PLATFORMS[args.platform]
-    seed = args.seed
-    engine = getattr(args, "engine", None)
-    return lambda: Machine(platform, seed=seed, backend=engine)
+@contextmanager
+def _runner_scope(args: argparse.Namespace):
+    """The default store and runtime a runner command runs under.
 
-
-def _result_cache(args: argparse.Namespace):
-    """The on-disk result cache for sweep commands (``--no-cache`` disables)."""
-    if args.no_cache:
-        return None
-    from .runner import ResultCache
-
-    return ResultCache()
-
-
-def _fault_plan(args: argparse.Namespace):
-    """The :class:`~repro.faults.FaultPlan` behind ``--faults``, if any."""
-    path = getattr(args, "faults", None)
-    if path is None:
-        return None
-    from .faults import FaultPlan
-
-    return FaultPlan.load(path)
-
-
-def _sweep_store_scope(args: argparse.Namespace):
-    """The default-store scope a command runs under.
-
-    ``--store DB`` installs that file as the process default for the
-    command's duration; ``--no-store`` installs the DISABLED sentinel
-    (overriding ``$REPRO_STORE``); with neither, env resolution applies
-    untouched.  Commands without runner flags get a no-op scope.
+    ``--store DB`` installs that file as the process-default campaign
+    store and ``--no-store`` the DISABLED sentinel (overriding
+    ``$REPRO_STORE``); with neither, env resolution applies untouched.
+    ``--runtime persistent`` (the default) installs one
+    :class:`~repro.runner.Runtime` that every sweep of the command shares,
+    and closes it (pool shut down, shared memory unlinked) on the way out;
+    ``--runtime fresh`` installs the FRESH sentinel, forcing a per-sweep
+    pool even when ``$REPRO_RUNTIME=persistent``.  Commands without runner
+    flags run unscoped.
     """
-    from contextlib import nullcontext
-
-    if not hasattr(args, "no_store"):
-        return nullcontext()
+    if not hasattr(args, "runtime"):
+        yield
+        return
+    from .runner import FRESH, Runtime, use_default_runtime
     from .store import DISABLED, CampaignStore, use_default_store
 
-    if args.no_store:
-        return use_default_store(DISABLED)
-    if args.store:
-        return use_default_store(CampaignStore(args.store))
-    return nullcontext()
-
-
-def _sweep_runtime_scope(args: argparse.Namespace):
-    """The default-runtime scope a command runs under.
-
-    ``--runtime persistent`` (the default for runner commands) installs
-    one :class:`~repro.runner.Runtime` as the process default for the
-    command's duration — every sweep the command issues shares one worker
-    pool — and closes it (pool shut down, shared memory unlinked) on the
-    way out.  ``--runtime fresh`` installs the FRESH sentinel, forcing a
-    per-sweep pool even when ``$REPRO_RUNTIME=persistent``.  Commands
-    without runner flags get a no-op scope.
-    """
-    from contextlib import contextmanager, nullcontext
-
-    choice = getattr(args, "runtime", None)
-    if choice is None:
-        return nullcontext()
-    from .runner import FRESH, Runtime, use_default_runtime
-
-    if choice == "fresh":
-        return use_default_runtime(FRESH)
-
-    @contextmanager
-    def scope():
-        with Runtime(name="cli") as rt, use_default_runtime(rt):
-            yield
-
-    return scope()
+    with ExitStack() as stack:
+        if args.no_store or args.store:
+            stack.enter_context(use_default_store(
+                DISABLED if args.no_store else CampaignStore(args.store)))
+        runtime = (FRESH if args.runtime == "fresh"
+                   else stack.enter_context(Runtime(name="cli")))
+        stack.enter_context(use_default_runtime(runtime))
+        yield
 
 
 def _open_store(args: argparse.Namespace):
@@ -126,16 +79,28 @@ def _open_store(args: argparse.Namespace):
     return get_default_store()
 
 
-def _sweep_obs(args: argparse.Namespace):
-    """(metrics registry, trace) backing one sweep command's run."""
-    from .obs import EventTrace, MetricsRegistry, NULL_TRACE
+def _run_context(args: argparse.Namespace) -> RunContext:
+    """The runner surface of one sweep command, from its flags.
 
-    registry = MetricsRegistry()
-    trace = EventTrace() if getattr(args, "trace", None) else NULL_TRACE
-    return registry, trace
+    A fresh metrics registry backs the ``[runner]`` line, and ``--trace``
+    records an event trace; ``--no-cache`` drops the on-disk result cache
+    and ``--faults`` loads a :class:`~repro.faults.FaultPlan`.
+    """
+    from .faults import FaultPlan
+    from .obs import NULL_TRACE, EventTrace, MetricsRegistry
+    from .runner import ResultCache
+
+    return RunContext(
+        config=PLATFORMS[args.platform], seed=args.seed, engine=args.engine,
+        jobs=args.jobs, cache=None if args.no_cache else ResultCache(),
+        metrics=MetricsRegistry(),
+        trace=EventTrace() if args.trace else NULL_TRACE,
+        faults=FaultPlan.load(args.faults) if args.faults else None,
+        retries=args.retries, warm_start=not getattr(args, "cold_start", False),
+    )
 
 
-def _finish_sweep_obs(args: argparse.Namespace, registry, trace) -> None:
+def _finish_sweep(args: argparse.Namespace, context: RunContext) -> None:
     """Print the runner summary and export the trace, if one was recorded.
 
     Both lines go to stderr: stdout carries only the result tables, which
@@ -144,15 +109,30 @@ def _finish_sweep_obs(args: argparse.Namespace, registry, trace) -> None:
     """
     from .analysis.reporting import runner_summary
 
-    print(runner_summary(registry), file=sys.stderr)
-    if getattr(args, "trace", None):
-        written = trace.to_jsonl(args.trace)
+    print(runner_summary(context.metrics), file=sys.stderr)
+    if args.trace:
+        written = context.trace.to_jsonl(args.trace)
         print(f"[trace] {written} event(s) -> {args.trace}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+
+
+def _sweep_command(experiment: Experiment) -> Callable[[argparse.Namespace], int]:
+    """The handler of a registry sweep: run it, render it, report telemetry."""
+
+    def command(args: argparse.Namespace) -> int:
+        params = {param.name: getattr(args, param.flag[2:].replace("-", "_"))
+                  for param in experiment.params if param.flag is not None}
+        experiment.validate(params)
+        context = _run_context(args)
+        experiment.render(experiment.run(context, params))
+        _finish_sweep(args, context)
+        return 0
+
+    return command
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
@@ -213,16 +193,12 @@ def cmd_fig6(args: argparse.Namespace) -> int:
 def cmd_table2(args: argparse.Namespace) -> int:
     from .experiments.capacity_sweep import run_capacity_sweep
 
-    cache = _result_cache(args)
-    registry, trace = _sweep_obs(args)
-    plan = _fault_plan(args)
+    context = _run_context(args)
     rows = []
     for channel in ("ntp+ntp", "prime+probe"):
         sweep = run_capacity_sweep(
-            _machine_factory(args), channel, n_bits=args.bits, seed=args.seed,
-            jobs=args.jobs, result_cache=cache, metrics=registry, trace=trace,
-            faults=plan, retries=args.retries,
-            warm_start=not args.cold_start,
+            context.machine_factory(), channel, n_bits=args.bits,
+            **context.sweep_kwargs(),
         )
         peak = sweep.peak
         rows.append(
@@ -234,51 +210,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
         title="Table II — peak channel capacities "
               "(paper: NTP+NTP 302/275, Prime+Probe 86/81)",
     ))
-    _finish_sweep_obs(args, registry, trace)
-    return 0
-
-
-def cmd_fig8(args: argparse.Namespace) -> int:
-    from .experiments.capacity_sweep import run_capacity_sweep
-
-    registry, trace = _sweep_obs(args)
-    sweep = run_capacity_sweep(
-        _machine_factory(args), args.channel, n_bits=args.bits, seed=args.seed,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
-    )
-    print(format_table(
-        ("interval", "raw KB/s", "BER", "capacity KB/s"), sweep.rows(),
-        title=f"Figure 8 — {args.channel} on {sweep.platform}",
-    ))
-    _finish_sweep_obs(args, registry, trace)
-    return 0
-
-
-def cmd_fig2_sweep(args: argparse.Namespace) -> int:
-    from .experiments.insertion_sweep import run_insertion_sweep
-
-    registry, trace = _sweep_obs(args)
-    sweep = run_insertion_sweep(
-        _machine_factory(args), trials=args.trials, seed=args.seed,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        engine=getattr(args, "engine", None),
-        batch_size=args.batch_size,
-    )
-    rows = [
-        (str(a), f"{sweep.evicted_fraction[a]*100:.0f}%")
-        for a in sorted(sweep.evicted_fraction)
-    ]
-    print(format_table(
-        ("position", "evicted"), rows,
-        title=f"Figure 2 sweep — {sweep.platform} via {sweep.engine} engine "
-              "(paper: evicted at every position)",
-    ))
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep(args, context)
     return 0
 
 
@@ -373,73 +305,6 @@ def cmd_evset(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_noise(args: argparse.Namespace) -> int:
-    from .experiments.noise_sweep import run_noise_sweep
-
-    registry, trace = _sweep_obs(args)
-    result = run_noise_sweep(
-        _machine_factory(args), n_bits=args.bits, seed=args.seed,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
-    )
-    print(format_table(result.header(), result.rows(),
-                       title="Section IV-B3 — BER vs noise intensity"))
-    _finish_sweep_obs(args, registry, trace)
-    return 0
-
-
-def cmd_detect_sweep(args: argparse.Namespace) -> int:
-    from .experiments.detection_sweep import run_detection_sweep
-
-    registry, trace = _sweep_obs(args)
-    result = run_detection_sweep(
-        _machine_factory(args), duration=args.duration,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
-    )
-    print(format_table(result.header(), result.rows(),
-                       title="Section V-A3 — FN rate vs victim period"))
-    for attack in sorted(result.curves):
-        try:
-            period = result.usable_period(attack)
-            print(f"{attack}: usable down to ~{period}-cycle periods")
-        except Exception:
-            print(f"{attack}: no tested period reached FN <= 10%")
-    _finish_sweep_obs(args, registry, trace)
-    return 0
-
-
-def cmd_sensitivity(args: argparse.Namespace) -> int:
-    from .experiments.sensitivity import run_sensitivity_experiment
-
-    registry, trace = _sweep_obs(args)
-    result = run_sensitivity_experiment(
-        _PLATFORMS[args.platform], n_bits=args.bits, seed=args.seed,
-        engine=getattr(args, "engine", None),
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
-    )
-    rows = [
-        (f"{p.sync_scale:.2f}", f"{p.ntp_capacity:.0f}",
-         f"{p.prime_probe_capacity:.0f}", f"{p.advantage:.1f}x")
-        for p in result.points
-    ]
-    print(format_table(
-        ("sync scale", "NTP+NTP KB/s", "Prime+Probe KB/s", "advantage"), rows,
-        title="Calibration sensitivity — NTP+NTP advantage vs sync budget",
-    ))
-    lo, hi = result.advantage_range()
-    print(f"advantage range over perturbation: {lo:.1f}x - {hi:.1f}x")
-    _finish_sweep_obs(args, registry, trace)
-    return 0
-
-
 def cmd_spy(args: argparse.Namespace) -> int:
     import random as random_module
 
@@ -459,7 +324,7 @@ def cmd_countermeasure(args: argparse.Namespace) -> int:
     from .experiments.countermeasure import run_countermeasure_experiment
 
     result = run_countermeasure_experiment(
-        _PLATFORMS[args.platform], size=args.size,
+        PLATFORMS[args.platform], size=args.size,
         check_channel=not args.no_channel, seed=args.seed,
     )
     print(f"Section VI-D — ref ratio: Intel policy {result.original_ratio:.2f}x "
@@ -514,7 +379,7 @@ def cmd_pollution(args: argparse.Namespace) -> int:
 
     stock = run_pollution_experiment(_machine(args))
     modified = run_pollution_experiment(
-        machine_with_modified_insertion(_PLATFORMS[args.platform], seed=args.seed)
+        machine_with_modified_insertion(PLATFORMS[args.platform], seed=args.seed)
     )
     rows = [
         ("Intel policy", "1 (the 1/w bound)", stock.peak_prefetched_ways),
@@ -542,7 +407,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .obs import MachineMetrics, MetricsRegistry
 
     registry = MetricsRegistry()
-    machine = Machine(_PLATFORMS[args.platform], seed=args.seed,
+    machine = Machine(PLATFORMS[args.platform], seed=args.seed,
                       metrics=registry)
     channel = NTPNTPChannel(machine, seed=args.seed)
     transport = ReliableTransport(channel, metrics=registry)
@@ -565,35 +430,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    from .experiments.channel_comparison import (
-        ComparisonResult,
-        run_channel_comparison,
-    )
-
-    registry, trace = _sweep_obs(args)
-    result = run_channel_comparison(
-        _machine_factory(args), n_bits=args.bits,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
-    )
-    print(format_table(ComparisonResult.HEADER, result.rows(),
-                       title="Covert-channel design space"))
-    _finish_sweep_obs(args, registry, trace)
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .experiments.chaos_sweep import run_chaos_sweep
 
-    registry, trace = _sweep_obs(args)
+    context = _run_context(args)
     result = run_chaos_sweep(
-        _machine_factory(args), n_bits=args.bits,
-        crash_probability=args.crash, retries=args.retries,
-        seed=args.seed, jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace, plan=_fault_plan(args),
+        context.machine_factory(), n_bits=args.bits,
+        crash_probability=args.crash, retries=context.retries,
+        seed=context.seed, jobs=context.jobs, result_cache=context.cache,
+        metrics=context.metrics, trace=context.trace, plan=context.faults,
     )
     print(format_table(result.header(), result.rows(),
                        title="Chaos — channel BER/delivery vs fault rate"))
@@ -602,43 +447,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           f"retries={result.retries}): {verdict}, "
           f"{result.runner_retries} retried attempt(s), "
           f"{result.runner_failures} unrecovered shard(s)")
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep(args, context)
     return 0 if result.ok else 1
-
-
-def cmd_search(args: argparse.Namespace) -> int:
-    from .search import EvalContext, make_driver, make_objective
-
-    registry, trace = _sweep_obs(args)
-    objective = make_objective(
-        args.objective, config=_PLATFORMS[args.platform],
-        engine=getattr(args, "engine", None),
-    )
-    driver = make_driver(args.strategy, objective, budget=args.budget)
-    outcome = driver.run(EvalContext(
-        seed=args.seed, jobs=args.jobs, cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-    ))
-    rows = [
-        (
-            row["round"], row["fidelity"], row["evaluations"],
-            f"{row['best']:.4f}", f"{row['best_so_far']:.4f}",
-        )
-        for row in outcome.trajectory()
-    ]
-    print(format_table(
-        ("round", "fidelity", "evals", "round best", "best so far"), rows,
-        title=f"Search — {outcome.objective} via {outcome.strategy} "
-              f"(budget {outcome.budget})",
-    ))
-    winner = ", ".join(f"{k}={v}" for k, v in sorted(outcome.winner.items()))
-    print(f"winner: {winner} (score {outcome.winner_score:.4f})")
-    print(f"evaluations: {outcome.evaluations_used} of {outcome.grid_size} "
-          f"grid points ({outcome.evaluations_used / outcome.grid_size:.0%})")
-    print(f"fingerprint: {outcome.fingerprint}")
-    _finish_sweep_obs(args, registry, trace)
-    return 0
 
 
 def cmd_campaigns(args: argparse.Namespace) -> int:
@@ -862,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, repetitions: Optional[int] = None,
-               runner: bool = False):
-        p.add_argument("--platform", choices=sorted(_PLATFORMS), default="skylake")
+               runner: bool = False, cold_start: bool = True):
+        p.add_argument("--platform", choices=sorted(PLATFORMS), default="skylake")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--engine", choices=("object", "soa", "batch"),
                        default=None,
@@ -887,10 +697,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--retries", type=int, default=0, metavar="N",
                            help="retry budget per shard when faults strike "
                                 "(recoverable runs stay bit-identical)")
-            p.add_argument("--cold-start", action="store_true",
-                           help="rebuild the machine for every sweep point "
-                                "instead of warm-starting from a shared "
-                                "prefix checkpoint (same results, slower)")
+            if cold_start:
+                p.add_argument("--cold-start", action="store_true",
+                               help="rebuild the machine for every sweep "
+                                    "point instead of warm-starting from a "
+                                    "shared prefix checkpoint (same "
+                                    "results, slower)")
             p.add_argument("--store", metavar="DB", default=None,
                            help="record the run into this campaign store "
                                 "sqlite file (default: $REPRO_STORE)")
@@ -904,6 +716,20 @@ def build_parser() -> argparse.ArgumentParser:
                                 "shared-memory transfer across this "
                                 "command's sweeps; 'fresh' spawns a pool "
                                 "per sweep (same output either way)")
+
+    def sweeps(*commands: str) -> None:
+        """One subcommand per registry record, flags from its params."""
+        for command in commands:
+            experiment = COMMANDS[command]
+            p = sub.add_parser(command, help=experiment.help)
+            common(p, runner=True, cold_start=experiment.warm_start)
+            for param in experiment.params:
+                if param.flag is not None:
+                    p.add_argument(param.flag, type=param.type,
+                                   default=param.default,
+                                   choices=param.choices or None,
+                                   help=param.help, metavar=param.metavar)
+            p.set_defaults(func=_sweep_command(experiment))
 
     p = sub.add_parser("fig2", help="insertion policy (Property #1)")
     common(p, repetitions=100)
@@ -930,19 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=256)
     p.set_defaults(func=cmd_table2)
 
-    p = sub.add_parser("fig8", help="capacity/BER sweep for one channel")
-    common(p, runner=True)
-    p.add_argument("--channel", choices=("ntp+ntp", "prime+probe"), default="ntp+ntp")
-    p.add_argument("--bits", type=int, default=256)
-    p.set_defaults(func=cmd_fig8)
-
-    p = sub.add_parser("fig2-sweep", help="insertion sweep, trial-batched")
-    common(p, runner=True)
-    p.add_argument("--trials", type=int, default=32,
-                   help="trials per insertion position")
-    p.add_argument("--batch-size", type=int, default=64, metavar="N",
-                   help="trials per array program under --engine batch")
-    p.set_defaults(func=cmd_fig2_sweep)
+    sweeps("fig8", "fig2-sweep")
 
     p = sub.add_parser("fig11", help="Prime+Scope prep latency")
     common(p, repetitions=200)
@@ -965,25 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also build with 2 MiB pages (slice-only search)")
     p.set_defaults(func=cmd_evset)
 
-    p = sub.add_parser("noise", help="BER vs third-party noise sweep")
-    common(p, runner=True)
-    p.add_argument("--bits", type=int, default=128)
-    p.set_defaults(func=cmd_noise)
-
-    p = sub.add_parser("detect-sweep", help="FN rate vs victim period sweep")
-    common(p, runner=True)
-    p.add_argument("--duration", type=int, default=600_000)
-    p.set_defaults(func=cmd_detect_sweep)
-
-    p = sub.add_parser("sensitivity", help="capacity vs sync-budget perturbation")
-    common(p, runner=True)
-    p.add_argument("--bits", type=int, default=128)
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("compare", help="all channels on one table")
-    common(p, runner=True)
-    p.add_argument("--bits", type=int, default=96)
-    p.set_defaults(func=cmd_compare)
+    sweeps("noise", "detect-sweep", "sensitivity", "compare")
 
     p = sub.add_parser("spy", help="concurrent RSA key extraction")
     common(p)
@@ -1017,29 +813,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("chaos", help="fault-injected sweep + robustness curve")
-    common(p, runner=True)
+    common(p, runner=True, cold_start=False)
     p.add_argument("--bits", type=int, default=48)
     p.add_argument("--crash", type=float, default=0.2, metavar="P",
                    help="per-attempt worker crash probability for the "
                         "runner-determinism act")
     p.set_defaults(func=cmd_chaos, retries=3)
 
-    p = sub.add_parser(
-        "search",
-        help="adaptive search over a sweep space (seeded, deterministic)",
-    )
-    common(p, runner=True)
-    p.add_argument("--objective",
-                   choices=("toy-cliff", "capacity-cliff", "detection-knee"),
-                   default="toy-cliff",
-                   help="what to optimize (see docs/search.md)")
-    p.add_argument("--strategy", choices=("mutate", "halving", "bandit"),
-                   default="mutate",
-                   help="how to spend the budget: mutation loop, successive "
-                        "halving over fidelity rungs, or UCB over regions")
-    p.add_argument("--budget", type=int, default=32, metavar="N",
-                   help="computed-evaluation cap (memoized repeats are free)")
-    p.set_defaults(func=cmd_search)
+    sweeps("search")
 
     p = sub.add_parser("campaigns", help="list recorded sweep campaigns")
     p.add_argument("--store", metavar="DB", default=None,
@@ -1120,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    with _sweep_store_scope(args), _sweep_runtime_scope(args):
+    with _runner_scope(args):
         return args.func(args)
 
 

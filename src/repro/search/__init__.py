@@ -56,6 +56,20 @@ def make_driver(strategy: str, objective: Objective, budget: int) -> SearchDrive
     )
 
 
+def run_search(config, objective: str = "toy-cliff", strategy: str = "mutate",
+               budget: int = 32, *, seed: int = 0, engine=None, jobs: int = 1,
+               result_cache=None, metrics=None, trace=None, faults=None,
+               retries: int = 0, store=None, runtime=None) -> SearchOutcome:
+    """Run a stock search by CLI names (``repro search``, service ``search``)."""
+    driver = make_driver(
+        strategy, make_objective(objective, config=config, engine=engine), budget
+    )
+    return driver.run(EvalContext(
+        seed=seed, jobs=jobs, cache=result_cache, metrics=metrics, trace=trace,
+        faults=faults, retries=retries, store=store, runtime=runtime,
+    ))
+
+
 __all__ = [
     "Candidate",
     "CapacityCliffObjective",
@@ -76,4 +90,5 @@ __all__ = [
     "candidate_key",
     "make_driver",
     "make_objective",
+    "run_search",
 ]

@@ -57,6 +57,10 @@ class Objective:
     name: str = "objective"
     space: SearchSpace
     fidelities: Tuple[int, ...]
+    #: The shard worker or warm-start plan scoring one evaluation, and
+    #: the result-cache tag of its rows.
+    worker: Any
+    cache_tag: str
 
     @property
     def full_fidelity(self) -> int:
@@ -68,7 +72,14 @@ class Objective:
 
     def evaluate_shards(self, shards: Sequence[Shard], ctx) -> List[Dict[str, Any]]:
         """Run one evaluation batch; rows must carry ``"score"``."""
-        raise NotImplementedError
+        return run_shards(
+            self.worker, shards, jobs=ctx.jobs,
+            cache=ctx.cache, cache_tag=self.cache_tag,
+            metrics=ctx.metrics, trace=ctx.trace,
+            faults=ctx.faults, retries=ctx.retries,
+            store=ctx.store, campaign=ctx.campaign,
+            runtime=getattr(ctx, "runtime", None),
+        )
 
     def describe(self) -> str:
         return f"{self.name}: {self.space.describe()}"
@@ -100,6 +111,8 @@ class ToyCliffObjective(Objective):
     """Planted capacity cliff on a 1-D interval grid (tests, CI, benches)."""
 
     name = "toy-cliff"
+    worker = staticmethod(_toy_cliff_worker)
+    cache_tag = "search/toy_cliff/v1"
 
     def __init__(
         self,
@@ -127,16 +140,6 @@ class ToyCliffObjective(Objective):
             "noise_scale": self.noise_scale,
             "fidelity": fidelity,
         }
-
-    def evaluate_shards(self, shards: Sequence[Shard], ctx) -> List[Dict[str, Any]]:
-        return run_shards(
-            _toy_cliff_worker, shards, jobs=ctx.jobs,
-            cache=ctx.cache, cache_tag="search/toy_cliff/v1",
-            metrics=ctx.metrics, trace=ctx.trace,
-            faults=ctx.faults, retries=ctx.retries,
-            store=ctx.store, campaign=ctx.campaign,
-            runtime=getattr(ctx, "runtime", None),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,8 @@ class CapacityCliffObjective(Objective):
     """
 
     name = "capacity-cliff"
+    worker = _CAPACITY_SCORE_PLAN
+    cache_tag = "search/capacity_cliff/v1"
 
     def __init__(
         self,
@@ -202,16 +207,6 @@ class CapacityCliffObjective(Objective):
             "noise": NoiseConfig(),
         }
 
-    def evaluate_shards(self, shards: Sequence[Shard], ctx) -> List[Dict[str, Any]]:
-        return run_shards(
-            _CAPACITY_SCORE_PLAN, shards, jobs=ctx.jobs,
-            cache=ctx.cache, cache_tag="search/capacity_cliff/v1",
-            metrics=ctx.metrics, trace=ctx.trace,
-            faults=ctx.faults, retries=ctx.retries,
-            store=ctx.store, campaign=ctx.campaign,
-            runtime=getattr(ctx, "runtime", None),
-        )
-
 
 # ---------------------------------------------------------------------------
 # detection-knee
@@ -243,6 +238,8 @@ class DetectionKneeObjective(Objective):
     """Find the shortest victim period an attack detects with FN <= 10%."""
 
     name = "detection-knee"
+    worker = _DETECTION_SCORE_PLAN
+    cache_tag = "search/detection_knee/v1"
 
     def __init__(
         self,
@@ -271,16 +268,6 @@ class DetectionKneeObjective(Objective):
             "period": candidate["period"],
             "duration": fidelity,
         }
-
-    def evaluate_shards(self, shards: Sequence[Shard], ctx) -> List[Dict[str, Any]]:
-        return run_shards(
-            _DETECTION_SCORE_PLAN, shards, jobs=ctx.jobs,
-            cache=ctx.cache, cache_tag="search/detection_knee/v1",
-            metrics=ctx.metrics, trace=ctx.trace,
-            faults=ctx.faults, retries=ctx.retries,
-            store=ctx.store, campaign=ctx.campaign,
-            runtime=getattr(ctx, "runtime", None),
-        )
 
 
 # ---------------------------------------------------------------------------

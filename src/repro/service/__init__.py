@@ -11,7 +11,7 @@ Module                 Responsibility
 =====================  =================================================
 :mod:`.spec`           :class:`JobSpec` — the validated JSON surface
 :mod:`.queue`          :class:`JobQueue` — persistent sqlite priority queue
-:mod:`.exec`           :func:`execute_job` — spec → experiment call
+:mod:`.exec`           :func:`execute_job` — spec → registry experiment
 :mod:`.backends`       :class:`LocalBackend` / :class:`SubprocessBackend`
 :mod:`.protocol`       length-prefixed JSON pipe framing
 :mod:`.worker`         the subprocess worker main loop
@@ -25,13 +25,12 @@ from .client import ServiceClient
 from .exec import ForwardingTrace, execute_job
 from .queue import DEFAULT_MAX_DEPTH, Job, JobQueue, QUEUE_SCHEMA_VERSION
 from .server import ServiceThread, SweepService, run_service
-from .spec import EXPERIMENT_PARAMS, PLATFORMS, JobSpec, register_platform
+from .spec import PLATFORMS, JobSpec, register_platform
 
 __all__ = [
     "BACKENDS",
     "Backend",
     "DEFAULT_MAX_DEPTH",
-    "EXPERIMENT_PARAMS",
     "ForwardingTrace",
     "Job",
     "JobQueue",

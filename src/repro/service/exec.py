@@ -1,13 +1,14 @@
 """Spec execution: the bridge from a :class:`JobSpec` to the experiment layer.
 
-:func:`execute_job` calls the *same* experiment functions with the *same*
-arguments the sweep CLI does — machine factory from the platform config,
-store and runtime passed *explicitly* (never through the process-default
-scopes, which are global and would cross-talk between concurrent jobs) —
-so shard seeds, cache keys, warm-start digests, and store
-``run_fingerprint``s are byte-identical to a direct ``python -m repro ...``
-invocation of the same sweep.  This is the location-transparency contract:
-the service adds scheduling around the computation, never inside it.
+:func:`execute_job` runs the spec's :class:`~repro.registry.Experiment`
+record, the one the sweep CLI runs too — machine factory from the platform
+config, store and runtime passed *explicitly* (never through the
+process-default scopes, which are global and would cross-talk between
+concurrent jobs) — so shard seeds, cache keys, warm-start digests, and
+store ``run_fingerprint``s are byte-identical to a direct ``python -m
+repro ...`` invocation of the same sweep.  This is the
+location-transparency contract: the service adds scheduling around the
+computation, never inside it.
 
 Progress flows out through a :class:`ForwardingTrace`, a plain
 :class:`~repro.obs.EventTrace` that additionally hands every event to a
@@ -21,8 +22,8 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Optional
 
-from ..errors import ServiceError
 from ..obs import EventTrace, MetricsRegistry
+from ..registry import EXPERIMENTS, RunContext
 from .spec import JobSpec
 
 
@@ -48,223 +49,15 @@ class ForwardingTrace(EventTrace):
                 pass
 
 
-def _machine_factory(spec: JobSpec):
-    """Mirror of the CLI's ``_machine_factory``: config + seed + engine."""
-    from ..sim.machine import Machine
+def _run_summaries(store, trace) -> list:
+    """The runs this job recorded, from its own ``runner.store`` events.
 
-    config = spec.config()
-    seed = spec.seed
-    engine = spec.engine
-    return lambda: Machine(config, seed=seed, backend=engine)
-
-
-def _run_capacity(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
-    from ..experiments.capacity_sweep import run_capacity_sweep
-
-    params = spec.params
-    intervals = params.get("intervals")
-    sweep = run_capacity_sweep(
-        _machine_factory(spec),
-        params.get("channel", "ntp+ntp"),
-        intervals=tuple(intervals) if intervals is not None else None,
-        n_bits=params.get("n_bits", 256),
-        seed=spec.seed,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
-        warm_start=spec.warm_start,
-        store=store,
-        runtime=runtime,
-    )
-    peak = sweep.peak
-    return {
-        "platform": sweep.platform,
-        "peak_interval": peak.interval,
-        "peak_capacity_kb_per_s": peak.capacity_kb_per_s,
-        "peak_bit_error_rate": peak.bit_error_rate,
-    }
-
-
-def _run_insertion(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
-    from ..experiments.insertion_sweep import run_insertion_sweep
-
-    params = spec.params
-    sweep = run_insertion_sweep(
-        _machine_factory(spec),
-        trials=params.get("trials", 32),
-        seed=spec.seed,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
-        engine=spec.engine,
-        batch_size=params.get("batch_size", 64),
-        store=store,
-        runtime=runtime,
-    )
-    return {
-        "platform": sweep.platform,
-        "engine": sweep.engine,
-        "positions": len(sweep.evicted_fraction),
-        "all_evicted": all(
-            fraction == 1.0 for fraction in sweep.evicted_fraction.values()
-        ),
-    }
-
-
-def _run_noise(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
-    from ..experiments.noise_sweep import run_noise_sweep
-
-    result = run_noise_sweep(
-        _machine_factory(spec),
-        n_bits=spec.params.get("n_bits", 192),
-        seed=spec.seed,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
-        warm_start=spec.warm_start,
-        store=store,
-        runtime=runtime,
-    )
-    return {"rows": len(result.rows())}
-
-
-def _run_detection(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
-    from ..experiments.detection_sweep import run_detection_sweep
-
-    result = run_detection_sweep(
-        _machine_factory(spec),
-        duration=spec.params.get("duration", 600_000),
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
-        warm_start=spec.warm_start,
-        store=store,
-        runtime=runtime,
-    )
-    return {"rows": len(result.rows())}
-
-
-def _run_sensitivity(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
-    from ..experiments.sensitivity import run_sensitivity_experiment
-
-    result = run_sensitivity_experiment(
-        spec.config(),
-        n_bits=spec.params.get("n_bits", 128),
-        seed=spec.seed,
-        engine=spec.engine,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
-        warm_start=spec.warm_start,
-        store=store,
-        runtime=runtime,
-    )
-    lo, hi = result.advantage_range()
-    return {"points": len(result.points), "advantage_range": [lo, hi]}
-
-
-def _run_comparison(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
-    from ..experiments.channel_comparison import run_channel_comparison
-
-    result = run_channel_comparison(
-        _machine_factory(spec),
-        n_bits=spec.params.get("n_bits", 128),
-        seed=spec.seed,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
-        warm_start=spec.warm_start,
-        engine=spec.engine,
-        store=store,
-        runtime=runtime,
-    )
-    return {"channels": len(result.profiles)}
-
-
-def _run_search(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
-    from ..search import EvalContext, make_driver, make_objective
-
-    params = spec.params
-    objective = make_objective(
-        params.get("objective", "toy-cliff"),
-        config=spec.config(),
-        engine=spec.engine,
-    )
-    driver = make_driver(
-        params.get("strategy", "halving"), objective,
-        budget=params.get("budget", 16),
-    )
-    outcome = driver.run(EvalContext(
-        seed=spec.seed,
-        jobs=spec.jobs,
-        cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
-        store=store,
-        runtime=runtime,
-    ))
-    return {
-        "winner": dict(sorted(outcome.winner.items())),
-        "winner_score": outcome.winner_score,
-        "search_fingerprint": outcome.fingerprint,
-        "evaluations": outcome.evaluations_used,
-    }
-
-
-_RUNNERS: Dict[str, Callable] = {
-    "capacity": _run_capacity,
-    "insertion": _run_insertion,
-    "noise": _run_noise,
-    "detection": _run_detection,
-    "sensitivity": _run_sensitivity,
-    "comparison": _run_comparison,
-    "search": _run_search,
-}
-
-
-class _RecordingStore:
-    """Store proxy that remembers the run ids recorded through it.
-
-    Concurrent jobs share the store *file*, so "which runs did this job
-    record" cannot be answered by scanning ids — another job's runs land
-    interleaved.  Intercepting :meth:`record_run` attributes each run to
-    the job whose sweep recorded it, exactly.
+    Concurrent jobs share the store *file*, so scanning run ids would mix
+    in other jobs' runs; the job's trace names exactly the runs its
+    sweeps recorded.
     """
-
-    def __init__(self, store):
-        self._store = store
-        self.run_ids: list = []
-
-    def record_run(self, *args, **kwargs):
-        run_id = self._store.record_run(*args, **kwargs)
-        self.run_ids.append(run_id)
-        return run_id
-
-    def __getattr__(self, name):
-        return getattr(self._store, name)
-
-
-def _run_summaries(store, run_ids) -> list:
+    run_ids = [event.fields["run"] for event in trace.events
+               if event.name == "runner.store"]
     runs = []
     for run_id in sorted(run_ids):
         run = store.run(run_id)
@@ -300,16 +93,18 @@ def execute_job(
     :class:`~repro.obs.MetricsRegistry` so summaries never mix jobs; trace
     events stream to ``sink`` as they happen.
     """
-    runner = _RUNNERS.get(spec.experiment)
-    if runner is None:
-        raise ServiceError(f"unknown experiment {spec.experiment!r}")
-
+    experiment = EXPERIMENTS[spec.experiment]
     registry = MetricsRegistry()
     trace = ForwardingTrace(sink)
     started = time.time()
-    recording = _RecordingStore(store) if store is not None else None
 
-    detail = runner(spec, cache, recording, runtime, registry, trace)
+    context = RunContext(
+        config=spec.config(), seed=spec.seed, engine=spec.engine,
+        jobs=spec.jobs, cache=cache, metrics=registry, trace=trace,
+        faults=spec.fault_plan(), retries=spec.retries,
+        warm_start=spec.warm_start, store=store, runtime=runtime,
+    )
+    detail = experiment.summary(experiment.run(context, spec.params))
 
     summary = {
         "experiment": spec.experiment,
@@ -321,9 +116,10 @@ def execute_job(
             "cached": registry.counter("runner.shards.cached").value,
             "retries": registry.counter("runner.retries").value,
             "failures": registry.counter("runner.failures").value,
+            "store_errors": registry.counter("runner.store.errors").value,
         },
         "detail": detail,
     }
-    if recording is not None:
-        summary["runs"] = _run_summaries(store, recording.run_ids)
+    if store is not None:
+        summary["runs"] = _run_summaries(store, trace)
     return summary

@@ -23,47 +23,23 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..config import KABY_LAKE, SKYLAKE, PlatformConfig
-from ..errors import ServiceError
+from ..config import PlatformConfig
+from ..errors import ReproError, ServiceError
 from ..faults import FaultPlan
+from ..registry import EXPERIMENTS, PLATFORMS, register_platform  # noqa: F401
 from ..runner.shard import canonical_json
-
-#: Platform names a spec may reference (mirrors the CLI's ``--platform``).
-#: Tests may register extra configs (e.g. a tiny geometry) via
-#: :func:`register_platform`.
-PLATFORMS: Dict[str, PlatformConfig] = {
-    "skylake": SKYLAKE,
-    "kaby-lake": KABY_LAKE,
-}
-
-#: Experiment name -> parameter keys a spec's ``params`` may carry.  The
-#: execution functions live in :mod:`repro.service.exec`; this table is
-#: what submission-time validation checks against, so a typo'd parameter
-#: is a 400 at the front door, not a TypeError in a worker.
-EXPERIMENT_PARAMS: Dict[str, frozenset] = {
-    "capacity": frozenset({"channel", "intervals", "n_bits"}),
-    "insertion": frozenset({"trials", "batch_size"}),
-    "noise": frozenset({"n_bits"}),
-    "detection": frozenset({"duration"}),
-    "sensitivity": frozenset({"n_bits"}),
-    "comparison": frozenset({"n_bits"}),
-    "search": frozenset({"objective", "strategy", "budget"}),
-}
-
-
-def register_platform(name: str, config: PlatformConfig) -> None:
-    """Make ``config`` addressable from specs as ``platform=name`` (tests)."""
-    PLATFORMS[name] = config
 
 
 @dataclass(frozen=True)
 class JobSpec:
     """One validated sweep/search request.
 
-    ``params`` carries the experiment-specific knobs (see
-    :data:`EXPERIMENT_PARAMS`); everything else mirrors the sweep CLI's
-    runner flags.  ``priority`` orders the job in the queue (higher runs
-    first, FIFO within a priority) and is excluded from the fingerprint.
+    ``params`` carries the experiment-specific knobs, checked against the
+    experiment's :class:`~repro.registry.Experiment` record and never
+    rewritten (defaults apply at run time, so they stay out of the
+    fingerprint); everything else mirrors the sweep CLI's runner flags.
+    ``priority`` orders the job in the queue (higher runs first, FIFO
+    within a priority) and is excluded from the fingerprint.
     """
 
     experiment: str
@@ -78,12 +54,12 @@ class JobSpec:
     retries: int = 0
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENT_PARAMS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ServiceError(
                 f"unknown experiment {self.experiment!r} "
-                f"(choose from {', '.join(sorted(EXPERIMENT_PARAMS))})"
+                f"(choose from {', '.join(sorted(EXPERIMENTS))})"
             )
-        if self.platform not in PLATFORMS:
+        if not isinstance(self.platform, str) or self.platform not in PLATFORMS:
             raise ServiceError(
                 f"unknown platform {self.platform!r} "
                 f"(choose from {', '.join(sorted(PLATFORMS))})"
@@ -92,22 +68,26 @@ class JobSpec:
             raise ServiceError(
                 f"params must be a JSON object, got {type(self.params).__name__}"
             )
-        unknown = sorted(set(self.params) - EXPERIMENT_PARAMS[self.experiment])
-        if unknown:
-            raise ServiceError(
-                f"unknown {self.experiment} param(s): {', '.join(unknown)} "
-                f"(allowed: {', '.join(sorted(EXPERIMENT_PARAMS[self.experiment]))})"
-            )
+        EXPERIMENTS[self.experiment].validate(self.params)
+        for name in ("seed", "jobs", "priority", "retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ServiceError(f"{name} must be an integer, got {value!r}")
         if self.jobs < 0:
             raise ServiceError(f"jobs must be >= 0, got {self.jobs}")
         if self.retries < 0:
             raise ServiceError(f"retries must be >= 0, got {self.retries}")
-        if self.engine is not None:
-            from ..engine import resolve_backend
+        if not isinstance(self.warm_start, bool):
+            raise ServiceError(f"warm_start must be a boolean, got {self.warm_start!r}")
+        try:
+            if self.engine is not None:
+                from ..engine import resolve_backend
 
-            resolve_backend(self.engine)  # raises on unknown names
-        if self.faults is not None:
-            FaultPlan.from_dict(self.faults)  # raises on malformed plans
+                resolve_backend(self.engine)  # raises on unknown names
+            if self.faults is not None:
+                FaultPlan.from_dict(self.faults)  # raises on malformed plans
+        except ReproError as error:
+            raise ServiceError(str(error)) from error
 
     # -- identity ----------------------------------------------------------
 

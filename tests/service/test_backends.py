@@ -138,3 +138,25 @@ class TestFactory:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ServiceError, match="unknown backend"):
             make_backend("ssh")
+
+
+class _FailingStore:
+    """A campaign store whose every write fails."""
+
+    def record_run(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
+class TestStoreErrors:
+    def test_failed_store_write_shows_in_the_job_result(self):
+        result = execute_job(SPEC, store=_FailingStore())
+        assert result["shards"]["store_errors"] == 1
+        assert result["runs"] == []
+
+    def test_clean_run_reports_zero_store_errors(self, node):
+        cache_root, store_path = node
+        backend = LocalBackend(cache_root=cache_root, store_path=store_path)
+        try:
+            assert backend.run_job(SPEC)["shards"]["store_errors"] == 0
+        finally:
+            backend.close()

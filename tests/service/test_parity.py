@@ -5,13 +5,17 @@ and without a recoverable fault plan, a sweep submitted through the service
 must land in the campaign store with a ``run_fingerprint`` identical to the
 same sweep executed directly — same shard seeds, same cache keys, same
 retry ``(index, attempt)`` decisions.  Concurrent duplicate submissions
-must converge on that same fingerprint too.
+must converge on that same fingerprint too.  Every registry experiment,
+run from the CLI and through :func:`execute_job`, records the same
+fingerprints.
 """
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.capacity_sweep import run_capacity_sweep
 from repro.faults import FaultPlan
+from repro.registry import EXPERIMENTS
 from repro.runner import ResultCache
 from repro.service import (
     JobQueue,
@@ -20,6 +24,7 @@ from repro.service import (
     ServiceClient,
     ServiceThread,
     SubprocessBackend,
+    execute_job,
 )
 from repro.sim.machine import Machine
 from repro.store import CampaignStore
@@ -127,3 +132,47 @@ def test_concurrent_duplicates_converge(tmp_path):
     finally:
         server.stop()
         queue.close()
+
+
+#: The smallest size of each registry experiment worth comparing.
+TINY = {
+    "capacity": {"n_bits": 8},
+    "insertion": {"trials": 2},
+    "noise": {"n_bits": 8},
+    "detection": {"duration": 10_000},
+    "sensitivity": {"n_bits": 8},
+    "comparison": {"n_bits": 8},
+    "search": {"budget": 4},
+}
+
+
+def _recorded(store):
+    return sorted(
+        (campaign.name, run.fingerprint)
+        for campaign in store.campaigns()
+        for run in store.runs(campaign.name)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_cli_and_service_record_the_same_runs(tmp_path, capsys, name):
+    """A non-default seed reaches the run function from both front ends."""
+    experiment = EXPERIMENTS[name]
+    params = TINY[name]
+    flags = {param.name: param.flag for param in experiment.params}
+    argv = [experiment.command, "--seed", "3", "--no-cache",
+            "--store", str(tmp_path / "cli.sqlite")]
+    for key, value in params.items():
+        argv += [flags[key], str(value)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with CampaignStore(str(tmp_path / "cli.sqlite")) as store:
+        via_cli = _recorded(store)
+
+    with CampaignStore(str(tmp_path / "svc.sqlite")) as store:
+        result = execute_job(JobSpec(experiment=name, params=params, seed=3),
+                             store=store)
+        via_service = _recorded(store)
+    assert via_cli and via_service == via_cli
+    assert sorted((run["campaign"], run["fingerprint"])
+                  for run in result["runs"]) == via_cli

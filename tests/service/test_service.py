@@ -98,6 +98,19 @@ class TestErrors:
             client._request("POST", "/jobs", body={"experiment": "nope"})
         assert registry.counter("service.jobs.rejected").value == 1
 
+    @pytest.mark.parametrize("body", [
+        {"experiment": "capacity", "params": {"n_bits": "x"}},
+        {"experiment": "search", "params": {"objective": "nope"}},
+        {"experiment": "insertion", "params": {"trials": -3}},
+        {"experiment": "capacity", "engine": "quantum"},
+    ])
+    def test_bad_values_are_a_400_not_a_worker_failure(self, live, body):
+        client, registry = live
+        with pytest.raises(ServiceError, match="400"):
+            client._request("POST", "/jobs", body=body)
+        assert registry.counter("service.jobs.rejected").value == 1
+        assert client.jobs() == []
+
     def test_unknown_job_is_a_404(self, live):
         client, _ = live
         with pytest.raises(ServiceError, match="404"):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import EXPERIMENT_PARAMS, JobSpec
+from repro.registry import EXPERIMENTS
+from repro.service import JobSpec
 
 
 class TestValidation:
@@ -38,8 +39,43 @@ class TestValidation:
             JobSpec(experiment="capacity", retries=-2)
 
     def test_every_experiment_validates_empty_params(self):
-        for name in EXPERIMENT_PARAMS:
+        for name in EXPERIMENTS:
             assert JobSpec(experiment=name).experiment == name
+
+    @pytest.mark.parametrize("experiment, params, message", [
+        ("capacity", {"n_bits": "x"}, "'n_bits' must be int"),
+        ("capacity", {"n_bits": True}, "'n_bits' must be int"),
+        ("capacity", {"channel": "bogus"}, "'bogus' is not one of ntp\\+ntp"),
+        ("capacity", {"intervals": []}, "non-empty list"),
+        ("capacity", {"intervals": [2100, "1800"]}, "must be int"),
+        ("search", {"objective": "nope"}, "'nope' is not one of toy-cliff"),
+        ("search", {"budget": 0}, "'budget' must be >= 1"),
+        ("insertion", {"trials": -3}, "'trials' must be >= 1, got -3"),
+    ])
+    def test_bad_param_values_rejected_at_submission(self, experiment, params,
+                                                     message):
+        with pytest.raises(ServiceError, match=message):
+            JobSpec(experiment=experiment, params=params)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"engine": "quantum"}, "unknown engine backend"),
+        ({"faults": {"crash_probability": 2.0}}, "crash_probability"),
+        ({"faults": "x"}, "fault plan must be a JSON object"),
+        ({"jobs": "x"}, "jobs must be an integer"),
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"warm_start": 1}, "warm_start must be a boolean"),
+        ({"platform": ["skylake"]}, "unknown platform"),
+        ({"experiment": ["capacity"]}, "unknown experiment"),
+    ])
+    def test_bad_runner_fields_are_service_errors(self, fields, message):
+        data = {"experiment": "capacity", **fields}
+        with pytest.raises(ServiceError, match=message):
+            JobSpec.from_dict(data)
+
+    def test_validation_never_fills_in_defaults(self):
+        spec = JobSpec(experiment="capacity", params={"n_bits": 32})
+        assert spec.params == {"n_bits": 32}
 
 
 class TestFingerprint:

@@ -14,6 +14,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
 
+    def test_import_loads_no_experiment_runner_store_search_or_service(self):
+        import subprocess
+        import sys
+
+        lazy = ("experiments", "service", "store", "search", "runner")
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print('\\n'.join(m for m in sys.modules if m.startswith('repro.')))"],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert "repro.registry" in loaded
+        assert [m for m in loaded if m.split(".")[1] in lazy] == []
+
+    @pytest.mark.parametrize("command", ["fig2-sweep", "search", "chaos"])
+    def test_cold_start_only_where_the_sweep_warm_starts(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--cold-start"])
+        for warm in ("fig8", "table2", "noise", "detect-sweep", "compare"):
+            assert build_parser().parse_args([warm, "--cold-start"]).cold_start
+
+    def test_registry_flags_are_validated_like_specs(self):
+        from repro.errors import ServiceError
+
+        with pytest.raises(ServiceError, match="'trials' must be >= 1, got -3"):
+            main(["fig2-sweep", "--trials", "-3", "--no-cache", "--no-store"])
+
     def test_platform_choices(self):
         args = build_parser().parse_args(["fig3", "--platform", "kaby-lake"])
         assert args.platform == "kaby-lake"
@@ -167,10 +194,23 @@ class TestObservability:
         assert any(e.name == "runner.shard" for e in trace.events)
         assert trace.events[-1].name == "runner.sweep"
 
+    def test_store_errors_show_in_the_runner_line(self, capsys):
+        from repro.store import use_default_store
+
+        class FailingStore:
+            def record_run(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        with use_default_store(FailingStore()):
+            assert main(["noise", "--bits", "8", "--no-cache"]) == 0
+        err = capsys.readouterr().err
+        assert "1 run(s) not recorded (store errors)" in err
+
     def test_sweep_without_trace_prints_runner_summary(self, capsys):
         assert main(["noise", "--bits", "8", "--no-cache"]) == 0
         captured = capsys.readouterr()
         assert "[runner] 20 shard(s)" in captured.err
+        assert "store errors" not in captured.err
         assert "[trace]" not in captured.err
         assert "[runner]" not in captured.out
 
